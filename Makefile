@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint check verify-policies fuzz-wire bench-smoke bench bench-obs bench-obs-smoke bench-fastpath bench-fastpath-smoke bench-wire bench-wire-smoke bench-batch bench-batch-smoke bench-client bench-client-smoke bench-replica bench-replica-smoke bench-compare clean
+.PHONY: build test race vet lint check perfbench-test verify-policies fuzz-wire bench-smoke bench bench-obs bench-obs-smoke bench-fastpath bench-fastpath-smoke bench-wire bench-wire-smoke bench-batch bench-batch-smoke bench-client bench-client-smoke bench-replica bench-replica-smoke bench-compare clean
 
 build:
 	$(GO) build ./...
@@ -29,7 +29,14 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/rbacvet ./...
 
-check: build test race vet lint verify-policies fuzz-wire bench-fastpath-smoke bench-wire-smoke bench-client-smoke bench-batch-smoke bench-obs-smoke bench-replica-smoke
+check: build test race vet lint perfbench-test verify-policies fuzz-wire bench-fastpath-smoke bench-wire-smoke bench-client-smoke bench-batch-smoke bench-obs-smoke bench-replica-smoke
+
+# perfbench-test vets and tests the benchmark harness. perfbench is its
+# own module (own go.mod), so ./... never compiles it: without this
+# target a facade or wire rename it depends on would pass every other
+# gate and fail only when the benchmark runs.
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # verify-policies runs the bounded symbolic verifier over every example
 # policy. Files named *-violating.acp are seeded-unsafe fixtures and
@@ -96,8 +103,9 @@ bench-fastpath-smoke: build
 	$(GO) run ./cmd/bench -exp FASTPATH -smoke
 
 # bench-wire regenerates the remote-transport series (BENCH_wire.json):
-# the same live engine checked over HTTP/JSON, single wire frames, wire
-# batches, and the embedded client decision cache (the client_cached
+# the same live engine checked over HTTP/JSON, single wire frames,
+# batch-native wire CHECK_BATCH frames, and the embedded client decision
+# cache (the client_cached
 # series — repeat allows served locally under epoch-push invalidation).
 # The smoke variant runs one short round and leaves the committed JSON
 # untouched.
@@ -116,8 +124,8 @@ bench-client: bench-wire
 bench-client-smoke: bench-wire-smoke
 
 # bench-batch regenerates the batch-native series (BENCH_batch.json):
-# per-tuple loops vs CheckAccessBatch in process, and the PR 5 per-tuple
-# CHECK_BATCH fan-out vs the batch-native backend over the wire. The
+# per-tuple loops vs CheckAccessBatch in process, plus batch-native
+# CHECK_BATCH rows keyed like BENCH_wire.json's wire-batch rows. The
 # smoke variant runs one short round and leaves the committed JSON
 # untouched.
 bench-batch: build
@@ -144,6 +152,9 @@ NEW ?= BENCH_fastpath.json
 bench-compare: build
 	$(GO) run ./cmd/bench -compare $(OLD) $(NEW)
 
+# clean removes generated artifacts only; the BENCH_*.json ledgers are
+# committed and stay.
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_lanes.json BENCH_obs.json BENCH_fastpath.json BENCH_wire.json BENCH_replica.json verify-findings.log
+	rm -rf .bench_build
+	rm -f verify-findings.log *.bench.tmp BENCH_*.json.old BENCH_*.json.new

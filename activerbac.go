@@ -157,8 +157,8 @@ type Options struct {
 	// TraceSample, when > 0, samples tracing instead of tracing every
 	// decision: each decision is traced with this probability (clamped to
 	// [0,1]), and unsampled decisions keep the full fast path. Client-
-	// requested traces (CheckAccessTupleTraced and friends) are always
-	// honoured regardless of the sample rate. Requires TraceBuffer > 0 to
+	// requested traces (CheckRequest.Trace) are always honoured
+	// regardless of the sample rate. Requires TraceBuffer > 0 to
 	// have any effect.
 	TraceSample float64
 	// TraceRateLimit caps sampled traces per second (approximate fixed
@@ -479,34 +479,83 @@ func (s *System) DropActiveRole(user UserID, sid SessionID, role RoleID) error {
 		event.Params{"user": string(user), "session": string(sid)})
 }
 
-// CheckAccess asks whether the session may perform the operation; the
-// rule CA1 decides, and denials feed the active-security monitors.
+// CheckRequest is one access request — the paper's checkAccess event
+// with its parameters. Trace ids and cacheability are transport
+// concerns riding along as fields; every request, single or batched,
+// goes through Check or CheckAccessBatch. The JSON tags are the HTTP
+// check-batch body shape.
+type CheckRequest struct {
+	Session   string `json:"session"`
+	Operation string `json:"operation"`
+	Object    string `json:"object"`
+	// Purpose, when set, decides through the privacy-aware rule CAP1
+	// (core RBAC plus purpose bindings and consent) instead of CA1.
+	// Purpose checks run the generic cascade: they never take the fast
+	// path, carry no client trace and are never cacheable.
+	Purpose string `json:"purpose,omitempty"`
+	// Trace, when nonzero, is a client-minted trace id: the decision
+	// always runs the full cascade (never the fast-path cache), its trace
+	// is retained under the id, and TraceByTraceID resolves it
+	// afterwards. Retention requires Options.TraceBuffer > 0; without it
+	// the check still decides correctly. In a batch only the first
+	// request's id is honoured.
+	Trace TraceID `json:"-"`
+	// WantCacheable asks Check to classify the verdict for an embedded
+	// client cache (see CheckResult.Cacheable).
+	WantCacheable bool `json:"-"`
+}
+
+// BatchCheck is the name the batch endpoints have always decoded into;
+// it is CheckRequest.
+type BatchCheck = CheckRequest
+
+// CheckResult is the answer to one CheckRequest.
+type CheckResult struct {
+	Allowed bool
+	// Cacheable is set only when the request asked (WantCacheable) and
+	// the verdict is an allow of the pure-snapshot checkAccess shape
+	// (the fastpath CA1 classification — sole scoped subscriber,
+	// CacheSafe rules only, no outcome listeners), i.e. a verdict that
+	// stays valid until the next push-epoch bump. Time- or
+	// history-dependent decisions and denials are never cacheable.
+	Cacheable bool
+}
+
+// Check decides one access request: rule CA1, or CAP1 when a purpose is
+// attached; denials feed the active-security monitors. A fast-path
+// cache hit is allocation-free end to end: the Params map is only built
+// if the cascade actually runs.
+func (s *System) Check(req CheckRequest) CheckResult {
+	eng := s.gen.Engine()
+	user, _ := eng.Store().SessionUser(SessionID(req.Session))
+	if req.Purpose != "" {
+		dec, err := eng.Decide(rulegen.EvCheckPurposeAccess, event.Params{
+			"user": string(user), "session": req.Session,
+			"operation": req.Operation, "object": req.Object, "purpose": req.Purpose,
+		})
+		return CheckResult{Allowed: err == nil && dec.Allowed()}
+	}
+	dec, err := eng.DecideCheck(rulegen.EvCheckAccess, sentinel.CheckTuple{
+		User: string(user), Session: req.Session,
+		Operation: req.Operation, Object: req.Object, Trace: req.Trace,
+	})
+	allowed := err == nil && dec.Allowed()
+	return CheckResult{
+		Allowed:   allowed,
+		Cacheable: req.WantCacheable && allowed && eng.CacheableEvent(rulegen.EvCheckAccess),
+	}
+}
+
+// CheckAccess asks whether the session may perform the operation (the
+// NIST CheckAccess function, rule CA1).
 func (s *System) CheckAccess(sid SessionID, p Permission) bool {
-	return s.CheckAccessTuple(string(sid), p.Operation, p.Object)
+	return s.Check(CheckRequest{Session: string(sid), Operation: p.Operation, Object: p.Object}).Allowed
 }
 
-// CheckAccessTuple is CheckAccess for callers that already hold the
-// check as plain strings — rbacd's GET /v1/check handler and the wire
-// server. It skips the SessionID/Permission wrappers so a fast-path
-// cache hit stays allocation-free end to end: the Params map is only
-// built if the cascade actually runs.
+// CheckAccessTuple is CheckAccess for callers holding the check as
+// plain strings; new code should build a CheckRequest for Check.
 func (s *System) CheckAccessTuple(session, operation, object string) bool {
-	user, _ := s.gen.Engine().Store().SessionUser(SessionID(session))
-	dec, err := s.gen.Engine().DecideCheck(rulegen.EvCheckAccess,
-		string(user), session, operation, object)
-	return err == nil && dec.Allowed()
-}
-
-// CheckAccessTupleCacheable is CheckAccessTuple plus the cacheability
-// classification an embedded client cache needs: cacheable is true only
-// for allowed verdicts of the pure-snapshot checkAccess shape (the
-// fastpath CA1 classification — sole scoped subscriber, CacheSafe rules
-// only, no outcome listeners), i.e. verdicts that stay valid until the
-// next push-epoch bump. Time- or history-dependent decisions and
-// denials are never cacheable.
-func (s *System) CheckAccessTupleCacheable(session, operation, object string) (allowed, cacheable bool) {
-	allowed = s.CheckAccessTuple(session, operation, object)
-	return allowed, allowed && s.gen.Engine().CacheableEvent(rulegen.EvCheckAccess)
+	return s.Check(CheckRequest{Session: session, Operation: operation, Object: object}).Allowed
 }
 
 // PushEpoch reports the engine's push epoch: a monotonic counter
@@ -523,50 +572,29 @@ func (s *System) PushEpoch() uint64 { return s.gen.Engine().PushEpoch() }
 // hook; nil clears it.
 func (s *System) OnEpochBump(fn func(epoch uint64)) { s.gen.Engine().SetPushHook(fn) }
 
-// CheckAccessTupleTraced is CheckAccessTuple with a client-minted trace
-// id: the decision always runs the full cascade (never the fast-path
-// cache), its trace is retained under tid, and TraceByTraceID resolves
-// it afterwards. Requires Options.TraceBuffer > 0 for the trace to be
-// retained; without it the check still decides correctly.
-func (s *System) CheckAccessTupleTraced(session, operation, object string, tid TraceID) bool {
-	user, _ := s.gen.Engine().Store().SessionUser(SessionID(session))
-	dec, err := s.gen.Engine().DecideCheckTraced(rulegen.EvCheckAccess,
-		string(user), session, operation, object, tid)
-	return err == nil && dec.Allowed()
-}
-
-// BatchCheck is one access check of a CheckAccessBatch call, as plain
-// strings (the wire and HTTP batch endpoints decode straight into it).
-type BatchCheck struct {
-	Session   string `json:"session"`
-	Operation string `json:"operation"`
-	Object    string `json:"object"`
-}
-
-// CheckAccessBatch decides every check in one batch-native engine pass:
-// the engine captures its snapshot/epoch pair once, probes the fast
-// path for the whole batch, and crosses each lane boundary once per
+// CheckAccessBatch decides every request in one batch-native engine
+// pass: the engine captures its snapshot/epoch pair once, probes the
+// fast path for the whole batch, and crosses each lane boundary once per
 // scope group (see sentinel.Engine.DecideCheckBatch and DESIGN.md
 // §5.6). Verdicts come back in input order, appended to the passed
-// slice (reused when capacity allows). Each check is decided exactly as
-// CheckAccessTuple would decide it; an undefined check event fails
-// closed for the whole batch.
-func (s *System) CheckAccessBatch(checks []BatchCheck, verdicts []bool) []bool {
-	return s.checkAccessBatch(checks, verdicts, false, TraceID{})
-}
-
-// CheckAccessBatchTraced is CheckAccessBatch with a client-minted trace
-// id: the batch's first tuple runs a fully traced cascade retained
-// under tid (see sentinel.Engine.DecideCheckBatchTraced); the rest of
-// the batch stays on the batch-native path.
-func (s *System) CheckAccessBatchTraced(checks []BatchCheck, verdicts []bool, tid TraceID) []bool {
-	return s.checkAccessBatch(checks, verdicts, true, tid)
-}
-
-func (s *System) checkAccessBatch(checks []BatchCheck, verdicts []bool, traced bool, tid TraceID) []bool {
+// slice (reused when capacity allows). Each request is decided exactly
+// as Check would decide it. A nonzero Trace on the first request traces
+// that request while the rest stays batch-native; WantCacheable is
+// ignored. CAP1 has no batch-native path, so a batch carrying any
+// Purpose is decided request by request. An undefined check event
+// fails closed for the whole batch.
+func (s *System) CheckAccessBatch(reqs []CheckRequest, verdicts []bool) []bool {
 	verdicts = verdicts[:0]
-	if len(checks) == 0 {
+	if len(reqs) == 0 {
 		return verdicts
+	}
+	for i := range reqs {
+		if reqs[i].Purpose != "" {
+			for _, r := range reqs {
+				verdicts = append(verdicts, s.Check(r).Allowed)
+			}
+			return verdicts
+		}
 	}
 	eng := s.gen.Engine()
 	store := eng.Store()
@@ -577,28 +605,22 @@ func (s *System) checkAccessBatch(checks []BatchCheck, verdicts []bool, traced b
 	// same-session checks within a batch.
 	var lastSession string
 	var lastUser string
-	for i, c := range checks {
+	for i, r := range reqs {
 		user := lastUser
-		if i == 0 || c.Session != lastSession {
-			u, _ := store.SessionUser(SessionID(c.Session))
+		if i == 0 || r.Session != lastSession {
+			u, _ := store.SessionUser(SessionID(r.Session))
 			user = string(u)
-			lastSession, lastUser = c.Session, user
+			lastSession, lastUser = r.Session, user
 		}
 		tuples = append(tuples, sentinel.CheckTuple{
-			User: user, Session: c.Session,
-			Operation: c.Operation, Object: c.Object,
+			User: user, Session: r.Session,
+			Operation: r.Operation, Object: r.Object, Trace: r.Trace,
 		})
 	}
-	var vds []sentinel.Verdict
-	var err error
-	if traced {
-		vds, err = eng.DecideCheckBatchTraced(rulegen.EvCheckAccess, tuples, bb.vds[:0], tid)
-	} else {
-		vds, err = eng.DecideCheckBatch(rulegen.EvCheckAccess, tuples, bb.vds[:0])
-	}
+	vds, err := eng.DecideCheckBatch(rulegen.EvCheckAccess, tuples, bb.vds[:0])
 	if err != nil {
 		bb.reset(tuples, vds)
-		for range checks {
+		for range reqs {
 			verdicts = append(verdicts, false)
 		}
 		return verdicts
@@ -655,17 +677,6 @@ func (s *System) ExplainAccess(sid SessionID, p Permission) Explanation {
 	}
 	allowed, reason := dec.Verdict()
 	return Explanation{Allowed: allowed, Reason: reason, Votes: dec.Votes()}
-}
-
-// CheckAccessForPurpose is the privacy-aware decision (rule CAP1): core
-// RBAC plus purpose bindings and consent.
-func (s *System) CheckAccessForPurpose(sid SessionID, p Permission, purpose string) bool {
-	user, _ := s.gen.Engine().Store().SessionUser(sid)
-	dec, err := s.gen.Engine().Decide(rulegen.EvCheckPurposeAccess, event.Params{
-		"user": string(user), "session": string(sid),
-		"operation": p.Operation, "object": p.Object, "purpose": purpose,
-	})
-	return err == nil && dec.Allowed()
 }
 
 // AssignUser assigns a role through the administrative rule (static SoD

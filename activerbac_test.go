@@ -259,20 +259,20 @@ consent-required patient.dat
 	if err := sys.AddActiveRole("dora", sid, "Doctor"); err != nil {
 		t.Fatal(err)
 	}
-	p := activerbac.Permission{Operation: "read", Object: "patient.dat"}
-	if sys.CheckAccessForPurpose(sid, p, "treatment") {
+	req := activerbac.CheckRequest{Session: string(sid), Operation: "read", Object: "patient.dat", Purpose: "treatment"}
+	if sys.Check(req).Allowed {
 		t.Fatal("allowed without consent")
 	}
 	if err := sys.GrantConsent("patient.dat", "treatment"); err != nil {
 		t.Fatal(err)
 	}
-	if !sys.CheckAccessForPurpose(sid, p, "treatment") {
+	if !sys.Check(req).Allowed {
 		t.Fatal("denied with consent")
 	}
 	if err := sys.RevokeConsent("patient.dat", "treatment"); err != nil {
 		t.Fatal(err)
 	}
-	if sys.CheckAccessForPurpose(sid, p, "treatment") {
+	if sys.Check(req).Allowed {
 		t.Fatal("allowed after revocation")
 	}
 }

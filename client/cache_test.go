@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bufio"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -17,18 +18,28 @@ type cacheTestBackend struct {
 	checks atomic.Int64
 }
 
-func (b *cacheTestBackend) Check(session, operation, object string) bool {
+func (b *cacheTestBackend) Check(req wire.CheckRequest) (allowed, cacheable bool) {
 	b.checks.Add(1)
-	return operation == "read"
+	allowed = req.Operation == "read"
+	return allowed, allowed && req.Object != "volatile"
+}
+
+func (b *cacheTestBackend) CheckBatch(reqs []wire.CheckRequest, vs []bool) []bool {
+	for _, r := range reqs {
+		allowed, _ := b.Check(r)
+		vs = append(vs, allowed)
+	}
+	return vs
 }
 
 func (b *cacheTestBackend) PolicyEpoch() uint64 { return b.epoch.Load() }
 func (b *cacheTestBackend) PushEpoch() uint64   { return b.epoch.Load() }
 
-func (b *cacheTestBackend) CheckCacheable(session, operation, object string) (allowed, cacheable bool) {
-	allowed = b.Check(session, operation, object)
-	return allowed, allowed && object != "volatile"
+func (b *cacheTestBackend) SyncSnapshot(string, uint64) (wire.SyncState, error) {
+	return wire.SyncState{}, wire.ErrUnsupported
 }
+
+func (b *cacheTestBackend) ReplicaDisconnected(string) {}
 
 // startServer serves a wire server for b on a fresh loopback listener;
 // the returned stop closes it (also registered as cleanup).
@@ -215,32 +226,64 @@ func TestCacheLossAndResubscribe(t *testing.T) {
 	}
 }
 
-// TestCachePassthroughWithoutPush: against a server whose backend does
-// not push epochs, the cache degrades to a plain remote client — every
-// check goes to the server, nothing is ever served stale.
-func TestCachePassthroughWithoutPush(t *testing.T) {
-	type plainBackend struct{ cacheTestBackend }
-	// Only promote Check/PolicyEpoch: wrap so the Push/Cache upgrades are
-	// not visible to the server's interface assertions.
-	b := &plainBackend{}
+// startOldPeer serves a hand-rolled peer that predates epoch push:
+// SUBSCRIBE and CacheFlag CHECKs answer ERROR(unsupported), plain CHECKs
+// allow iff operation == "read" (counted in checks), POLICY_VERSION
+// answers epoch 1 and PING pongs.
+func startOldPeer(t *testing.T, checks *atomic.Int64) net.Listener {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	srv := wire.NewServer(struct {
-		wire.Backend
-	}{&b.cacheTestBackend}, nil)
-	done := make(chan struct{})
+	t.Cleanup(func() { ln.Close() })
 	go func() {
-		defer close(done)
-		if err := srv.Serve(ln); err != wire.ErrServerClosed {
-			t.Errorf("Serve: %v", err)
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				dec := wire.NewDecoder(bufio.NewReader(c), 0)
+				for {
+					f, err := dec.Next()
+					if err != nil {
+						return
+					}
+					op, payload := f.Op|wire.RespFlag, []byte(nil)
+					switch f.Op {
+					case wire.OpPing:
+						payload = f.Payload
+					case wire.OpPolicyVersion:
+						payload = wire.AppendEpoch(nil, 1)
+					case wire.OpCheck:
+						checks.Add(1)
+						_, operation, _, err := wire.ConsumeCheck(f.Payload)
+						payload = []byte{0}
+						if err == nil && operation == "read" {
+							payload = []byte{1}
+						}
+					default:
+						op = wire.OpError
+						payload = wire.AppendErrorPayload(nil, wire.ErrCodeUnsupported, "wire: backend does not push epochs")
+					}
+					if _, err := c.Write(wire.AppendFrame(nil, op, f.ID, payload)); err != nil {
+						return
+					}
+				}
+			}()
 		}
 	}()
-	t.Cleanup(func() {
-		srv.Close()
-		<-done
-	})
+	return ln
+}
+
+// TestCachePassthroughWithoutPush: against a peer that does not push
+// epochs, the cache degrades to a plain remote client — every check
+// goes to the server, nothing is ever served stale.
+func TestCachePassthroughWithoutPush(t *testing.T) {
+	var checks atomic.Int64
+	ln := startOldPeer(t, &checks)
 
 	c, err := New(ln.Addr().String(), &Options{Timeout: 5 * time.Second, PollInterval: 10 * time.Millisecond})
 	if err != nil {
@@ -256,7 +299,7 @@ func TestCachePassthroughWithoutPush(t *testing.T) {
 			t.Fatalf("check = (%v, %v), want (true, nil)", allowed, err)
 		}
 	}
-	if n := b.checks.Load(); n != 3 {
+	if n := checks.Load(); n != 3 {
 		t.Fatalf("backend decisions = %d, want 3 (no local serving without a subscription)", n)
 	}
 	if st := c.Stats(); st.Hits != 0 || st.Misses != 3 {

@@ -26,8 +26,8 @@
 // served locally under epoch-push invalidation).
 // BATCH writes BENCH_batch.json comparing the batch-native decision
 // path against per-tuple evaluation: in-process CheckAccessBatch vs a
-// CheckAccessTuple loop (fast path off and on), and wire CHECK_BATCH
-// served by a BatchBackend vs the plain-Backend per-tuple fan-out.
+// System.Check loop (fast path off and on), plus batch-native wire
+// CHECK_BATCH rows under BENCH_wire.json's wire-batch identity.
 // REPLICA writes BENCH_replica.json with the replicated-read-fleet
 // series: aggregate read throughput vs replica count, each replica a
 // fixed-capacity node synced over the real wire SYNC protocol (see the
@@ -59,6 +59,7 @@ import (
 	"activerbac/internal/conformance"
 	"activerbac/internal/event"
 	"activerbac/internal/policy"
+	"activerbac/internal/replicate"
 	"activerbac/internal/security"
 	"activerbac/internal/wire"
 	"activerbac/internal/workload"
@@ -824,7 +825,7 @@ func wireBench(smoke bool) {
 	}
 
 	// HTTP side: the same hot path rbacd's GET /v1/check runs (string
-	// tuples into CheckAccessTuple, pre-encoded verdict body).
+	// request into System.Check, pre-encoded verdict body).
 	httpLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
@@ -835,7 +836,9 @@ func wireBench(smoke bool) {
 	mux.HandleFunc("GET /v1/check", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
 		body := denyBody
-		if sys.CheckAccessTuple(q.Get("session"), q.Get("operation"), q.Get("object")) {
+		if sys.Check(activerbac.CheckRequest{
+			Session: q.Get("session"), Operation: q.Get("operation"), Object: q.Get("object"),
+		}).Allowed {
 			body = allowBody
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -854,7 +857,7 @@ func wireBench(smoke bool) {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
 	}
-	wireSrv := wire.NewServer(wireSysBackend{sys}, nil)
+	wireSrv := wire.NewServer(sysBackend{sys: sys}, nil)
 	go wireSrv.Serve(wireLn)
 	defer wireSrv.Close()
 	conns := runtime.NumCPU()
@@ -1049,36 +1052,45 @@ func wireBench(smoke bool) {
 	fmt.Println("wrote BENCH_wire.json")
 }
 
-// wireSysBackend adapts a bench-owned System to the wire Backend.
-type wireSysBackend struct{ sys *activerbac.System }
-
-func (b wireSysBackend) Check(session, operation, object string) bool {
-	return b.sys.CheckAccessTuple(session, operation, object)
+// sysBackend is the bench's one wire Backend over a bench-owned
+// System. hub, when set, serves SYNC (the REPLICA leader); gate, when
+// set, admits one request at a time, each paying replicaServiceTime per
+// check (the REPLICA experiment's fixed-capacity replica nodes).
+type sysBackend struct {
+	sys  *activerbac.System
+	hub  *replicate.Hub
+	gate *sync.Mutex
 }
 
-func (b wireSysBackend) PolicyEpoch() uint64 { return b.sys.SnapshotEpoch() }
-
-// PushEpoch and CheckCacheable are the epoch-push upgrades: they let a
-// client.Cache subscribe and classify verdicts for local caching.
-func (b wireSysBackend) PushEpoch() uint64 { return b.sys.PushEpoch() }
-
-func (b wireSysBackend) CheckCacheable(session, operation, object string) (allowed, cacheable bool) {
-	return b.sys.CheckAccessTupleCacheable(session, operation, object)
+// serve applies the capacity gate, if any, for n checks.
+func (b sysBackend) serve(n int) {
+	if b.gate != nil {
+		b.gate.Lock()
+		time.Sleep(time.Duration(n) * replicaServiceTime)
+		b.gate.Unlock()
+	}
 }
 
-// wireSysBatchBackend is wireSysBackend plus the batch-native upgrade:
-// CHECK_BATCH frames run one CheckAccessBatch instead of a per-tuple
-// fan-out. The bench serves the same System behind both adapters to
-// isolate the batch path's contribution.
-type wireSysBatchBackend struct{ wireSysBackend }
+func (b sysBackend) Check(r wire.CheckRequest) (allowed, cacheable bool) {
+	b.serve(1)
+	res := b.sys.Check(activerbac.CheckRequest{
+		Session: r.Session, Operation: r.Operation, Object: r.Object,
+		Trace: activerbac.TraceID(r.Trace), WantCacheable: r.WantCacheable,
+	})
+	return res.Allowed, res.Cacheable
+}
 
-var benchConvPool = sync.Pool{New: func() any { return new([]activerbac.BatchCheck) }}
+var benchConvPool = sync.Pool{New: func() any { return new([]activerbac.CheckRequest) }}
 
-func (b wireSysBatchBackend) CheckBatch(reqs []wire.CheckRequest, vs []bool) []bool {
-	cp := benchConvPool.Get().(*[]activerbac.BatchCheck)
+func (b sysBackend) CheckBatch(reqs []wire.CheckRequest, vs []bool) []bool {
+	b.serve(len(reqs))
+	cp := benchConvPool.Get().(*[]activerbac.CheckRequest)
 	checks := (*cp)[:0]
 	for _, r := range reqs {
-		checks = append(checks, activerbac.BatchCheck{Session: r.Session, Operation: r.Operation, Object: r.Object})
+		checks = append(checks, activerbac.CheckRequest{
+			Session: r.Session, Operation: r.Operation, Object: r.Object,
+			Trace: activerbac.TraceID(r.Trace),
+		})
 	}
 	vs = b.sys.CheckAccessBatch(checks, vs)
 	clear(checks)
@@ -1087,25 +1099,40 @@ func (b wireSysBatchBackend) CheckBatch(reqs []wire.CheckRequest, vs []bool) []b
 	return vs
 }
 
+func (b sysBackend) PolicyEpoch() uint64 { return b.sys.SnapshotEpoch() }
+func (b sysBackend) PushEpoch() uint64   { return b.sys.PushEpoch() }
+
+func (b sysBackend) SyncSnapshot(replica string, applied uint64) (wire.SyncState, error) {
+	if b.hub == nil {
+		return wire.SyncState{}, wire.ErrUnsupported
+	}
+	return b.hub.SyncSnapshot(replica, applied)
+}
+
+func (b sysBackend) ReplicaDisconnected(replica string) {
+	if b.hub != nil {
+		b.hub.ReplicaDisconnected(replica)
+	}
+}
+
 // batchBench: the batch-native decision path against per-tuple
 // evaluation, on one repeat-heavy workload whose batches cycle four
 // distinct sessions (so every batch splits into four scope groups).
 //
 // Two series:
-//   - inproc: a CheckAccessTuple loop vs one CheckAccessBatch call per
+//   - inproc: a System.Check loop vs one CheckAccessBatch call per
 //     batch, with the fast path off (every tuple runs the full cascade;
 //     the batch path amortizes the per-tuple raise/wait machinery into
 //     one lane crossing per group) and on (warm cache; the batch path
 //     probes the whole batch against one epoch capture).
-//   - wire: CHECK_BATCH frames against the same System behind a plain
-//     Backend (the server's per-tuple fan-out — the pre-batch baseline)
-//     vs a BatchBackend (batch-native), fast path off.
+//   - wire-batch: batch-native CHECK_BATCH frames under BENCH_wire.json's
+//     row identity (see the comparison series below).
 //
 // Sweeps are interleaved and the best round per point is kept, like
 // WIRE/FASTPATH. Results go to BENCH_batch.json; speedups are stored as
 // *_pct columns so -compare keys row identity on the workload alone.
 func batchBench(smoke bool) {
-	header("BATCH", "batch-native evaluation: per-tuple loop vs CheckAccessBatch, fan-out vs batch-native CHECK_BATCH")
+	header("BATCH", "batch-native evaluation: per-tuple loop vs CheckAccessBatch, batch-native CHECK_BATCH")
 	cfg := workload.EnterpriseConfig{
 		Roles: 64, Shape: workload.XYZShape, Branch: 4,
 		SSDFraction: 0.3, Users: 64, PermsPerRole: 3, Seed: 1,
@@ -1127,8 +1154,8 @@ func batchBench(smoke bool) {
 	}
 
 	type point struct {
-		Series     string  `json:"series"` // inproc | wire
-		Mode       string  `json:"mode"`   // per-tuple | batch | fanout | batch-native
+		Series     string  `json:"series"` // inproc
+		Mode       string  `json:"mode"`   // per-tuple | batch
 		FastPath   string  `json:"fastpath"`
 		Batch      int     `json:"batch"`
 		Groups     int     `json:"groups"`
@@ -1186,7 +1213,7 @@ func batchBench(smoke bool) {
 			start := time.Now()
 			for done := 0; done < totalChecks; done += len(checks) {
 				for _, c := range checks {
-					sys.CheckAccessTuple(c.Session, c.Operation, c.Object)
+					sys.Check(c)
 				}
 			}
 			return time.Since(start)
@@ -1204,7 +1231,7 @@ func batchBench(smoke bool) {
 		sanity := buildChecks(clients, sizes[0])
 		for i, v := range sys.CheckAccessBatch(sanity, nil) {
 			c := sanity[i]
-			if !v || v != sys.CheckAccessTuple(c.Session, c.Operation, c.Object) {
+			if !v || v != sys.Check(c).Allowed {
 				fmt.Fprintf(os.Stderr, "bench: BATCH: sanity check failed at tuple %d (fastpath %s)\n", i, fpName)
 				os.Exit(1)
 			}
@@ -1233,87 +1260,14 @@ func batchBench(smoke bool) {
 		sys.Close()
 	}
 
-	// --- wire series ---------------------------------------------------
-	// Fast path off: the per-tuple fan-out pays the full cascade per
-	// tuple, which is exactly the cost the batch-native path amortizes.
-	sys, err := activerbac.Open(src, &activerbac.Options{
-		Lanes: shard, FastPath: false, Clock: clock.NewSim(epoch),
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
-	}
-	defer sys.Close()
-	clients := benchClients(sys, spec)
-	if len(clients) < groups {
-		fmt.Fprintln(os.Stderr, "bench: BATCH: not enough runnable clients")
-		os.Exit(1)
-	}
-	dialServer := func(backend wire.Backend) (*wire.Client, func()) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		srv := wire.NewServer(backend, nil)
-		go srv.Serve(ln)
-		wc, err := wire.Dial(ln.Addr().String(), &wire.ClientOptions{
-			Conns: 2, Timeout: 30 * time.Second,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench: wire dial:", err)
-			os.Exit(1)
-		}
-		return wc, func() { wc.Close(); srv.Close() }
-	}
-	fanoutClient, closeFanout := dialServer(wireSysBackend{sys})
-	defer closeFanout()
-	nativeClient, closeNative := dialServer(wireSysBatchBackend{wireSysBackend{sys}})
-	defer closeNative()
-
-	wireRound := func(wc *wire.Client, reqs []wire.CheckRequest) time.Duration {
-		start := time.Now()
-		for done := 0; done < totalChecks; done += len(reqs) {
-			if _, err := wc.CheckMany(reqs); err != nil {
-				fmt.Fprintln(os.Stderr, "bench: BATCH: wire:", err)
-				os.Exit(1)
-			}
-		}
-		return time.Since(start)
-	}
-	bestFanout, bestNative := map[int]time.Duration{}, map[int]time.Duration{}
-	for s := 0; s < sweeps; s++ {
-		for _, n := range sizes {
-			checks := buildChecks(clients, n)
-			reqs := make([]wire.CheckRequest, n)
-			for i, c := range checks {
-				reqs[i] = wire.CheckRequest{Session: c.Session, Operation: c.Operation, Object: c.Object}
-			}
-			wireRound(fanoutClient, reqs[:min(n, totalChecks/8+1)]) // warmup
-			wireRound(nativeClient, reqs[:min(n, totalChecks/8+1)])
-			for r := 0; r < rounds; r++ {
-				if d := wireRound(fanoutClient, reqs); bestFanout[n] == 0 || d < bestFanout[n] {
-					bestFanout[n] = d
-				}
-				if d := wireRound(nativeClient, reqs); bestNative[n] == 0 || d < bestNative[n] {
-					bestNative[n] = d
-				}
-			}
-		}
-	}
-	for _, n := range sizes {
-		emit("wire", "fanout", "off", n, bestFanout[n], bestFanout[n])
-		emit("wire", "batch-native", "off", n, bestNative[n], bestFanout[n])
-	}
-
 	// --- PR 5 comparison series ----------------------------------------
 	// The committed BENCH_wire.json measured CHECK_BATCH against the
 	// per-tuple fan-out server: fast path on, 64-tuple frames of one
 	// repeated tuple per goroutine. Re-run that exact workload against
-	// the batch-native backend and emit rows under the same identity
+	// the batch-native server and emit rows under the same identity
 	// (transport/goroutines/batch), so
 	//   make bench-compare OLD=BENCH_wire.json NEW=BENCH_batch.json
-	// diffs this PR's CHECK_BATCH directly against the committed PR 5
+	// diffs batch-native CHECK_BATCH directly against the committed PR 5
 	// per-tuple fan-out numbers.
 	type wirePoint struct {
 		Transport  string  `json:"transport"`
@@ -1336,8 +1290,22 @@ func batchBench(smoke bool) {
 		fmt.Fprintln(os.Stderr, "bench: BATCH: no runnable comparison clients")
 		os.Exit(1)
 	}
-	cmpClient, closeCmp := dialServer(wireSysBatchBackend{wireSysBackend{cmpSys}})
-	defer closeCmp()
+	cmpLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bench:", err)
+		os.Exit(1)
+	}
+	cmpSrv := wire.NewServer(sysBackend{sys: cmpSys}, nil)
+	go cmpSrv.Serve(cmpLn)
+	defer cmpSrv.Close()
+	cmpClient, err := wire.Dial(cmpLn.Addr().String(), &wire.ClientOptions{
+		Conns: 2, Timeout: 30 * time.Second,
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bench: wire dial:", err)
+		os.Exit(1)
+	}
+	defer cmpClient.Close()
 	const cmpBatch = 64
 	cmpGoroutines := []int{1, 4, 16, 64}
 	cmpPerG := 4096

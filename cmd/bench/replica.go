@@ -29,40 +29,6 @@ type benchApplier struct{ sys *activerbac.System }
 
 func (a benchApplier) Apply(data []byte) error { return a.sys.InstallSyncSnapshot(data) }
 
-// wireSyncBackend is wireSysBackend plus the leader's replication
-// halves, so SYNC frames stream hub snapshots — the same upgrade
-// rbacd's leader mode applies to its wire backend.
-type wireSyncBackend struct {
-	wireSysBackend
-	hub *replicate.Hub
-}
-
-func (b wireSyncBackend) SyncSnapshot(replica string, applied uint64) (wire.SyncState, error) {
-	return b.hub.SyncSnapshot(replica, applied)
-}
-
-func (b wireSyncBackend) ReplicaDisconnected(replica string) {
-	b.hub.ReplicaDisconnected(replica)
-}
-
-// replicaCapBackend serves checks from a replica's local snapshot
-// behind a fixed-capacity gate: one in-flight check at a time, each
-// paying replicaServiceTime. The gate is what turns N in-process
-// replicas into N modelled nodes of equal capacity (see replicaBench).
-type replicaCapBackend struct {
-	sys *activerbac.System
-	mu  *sync.Mutex
-}
-
-func (b replicaCapBackend) Check(session, operation, object string) bool {
-	b.mu.Lock()
-	time.Sleep(replicaServiceTime)
-	b.mu.Unlock()
-	return b.sys.CheckAccessTuple(session, operation, object)
-}
-
-func (b replicaCapBackend) PolicyEpoch() uint64 { return b.sys.SnapshotEpoch() }
-
 // benchReplicaNode is one synced read replica: its own System
 // (bootstrapped empty, filled over the wire), sync loop, capacity-gated
 // wire listener, and a pooled client driving it.
@@ -141,7 +107,7 @@ func replicaBench(smoke bool) {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
 	}
-	leaderSrv := wire.NewServer(wireSyncBackend{wireSysBackend{sys}, hub}, nil)
+	leaderSrv := wire.NewServer(sysBackend{sys: sys, hub: hub}, nil)
 	sys.OnEpochBump(leaderSrv.NotifyEpoch)
 	go leaderSrv.Serve(leaderLn)
 	defer leaderSrv.Close()
@@ -169,7 +135,7 @@ func replicaBench(smoke bool) {
 			fmt.Fprintln(os.Stderr, "bench:", err)
 			os.Exit(1)
 		}
-		rsrv := wire.NewServer(replicaCapBackend{sys: rsys, mu: new(sync.Mutex)}, nil)
+		rsrv := wire.NewServer(sysBackend{sys: rsys, gate: new(sync.Mutex)}, nil)
 		go rsrv.Serve(rln)
 		wc, err := wire.Dial(rln.Addr().String(), &wire.ClientOptions{
 			Conns: 2, Timeout: 30 * time.Second,

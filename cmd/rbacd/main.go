@@ -401,14 +401,7 @@ func run(cfg config) error {
 		if err != nil {
 			return fmt.Errorf("wire listener: %w", err)
 		}
-		// A leader's backend additionally implements wire.SyncBackend and
-		// wire.ReplicaTracker, so SYNC frames reach the hub; a replica's
-		// does not, and answers SYNC with ERROR(unsupported).
-		var backend wire.Backend = wireBackend{srv}
-		if srv.hub != nil {
-			backend = leaderWireBackend{wireBackend{srv}, srv.hub}
-		}
-		wireSrv = wire.NewServer(backend, &wire.ServerOptions{
+		wireSrv = wire.NewServer(wireBackend{srv}, &wire.ServerOptions{
 			MaxFrame:       cfg.wireMaxFrame,
 			MaxInFlight:    cfg.wireMaxInflight,
 			ReadTimeout:    cfg.wireReadTimeout,
@@ -443,12 +436,41 @@ func run(cfg config) error {
 
 // wireBackend adapts the server (not the System directly, so wire
 // checks honor the same policy-swap serialization as HTTP handlers) to
-// the wire protocol's Backend interface.
+// the wire protocol's Backend. On a leader SYNC frames reach the hub;
+// everywhere else srv.hub is nil and SYNC answers ERROR(unsupported).
 type wireBackend struct{ srv *server }
 
-func (b wireBackend) Check(session, operation, object string) bool {
-	return b.srv.system().CheckAccessTuple(session, operation, object)
+func (b wireBackend) Check(r wire.CheckRequest) (allowed, cacheable bool) {
+	res := b.srv.system().Check(activerbac.CheckRequest{
+		Session: r.Session, Operation: r.Operation, Object: r.Object,
+		Trace: activerbac.TraceID(r.Trace), WantCacheable: r.WantCacheable,
+	})
+	return res.Allowed, res.Cacheable
 }
+
+// CheckBatch runs a CHECK_BATCH frame as one batch-native engine pass.
+// The conversion slice is pooled; the strings inside were already
+// allocated by the frame decode.
+func (b wireBackend) CheckBatch(reqs []wire.CheckRequest, vs []bool) []bool {
+	cb := checkConvPool.Get().(*[]activerbac.CheckRequest)
+	checks := (*cb)[:0]
+	for _, r := range reqs {
+		checks = append(checks, activerbac.CheckRequest{
+			Session: r.Session, Operation: r.Operation, Object: r.Object,
+			Trace: activerbac.TraceID(r.Trace),
+		})
+	}
+	vs = b.srv.system().CheckAccessBatch(checks, vs)
+	clear(checks)
+	*cb = checks[:0]
+	checkConvPool.Put(cb)
+	return vs
+}
+
+var checkConvPool = sync.Pool{New: func() any {
+	b := make([]activerbac.CheckRequest, 0, 256)
+	return &b
+}}
 
 // PolicyEpoch answers POLICY_VERSION. A replica advertises the leader
 // push epoch it has applied — the number a fleet operator compares
@@ -461,86 +483,24 @@ func (b wireBackend) PolicyEpoch() uint64 {
 	return b.srv.system().SnapshotEpoch()
 }
 
-// PushEpoch upgrades the backend to wire.PushBackend: SUBSCRIBE answers
-// with the engine's push epoch, which also bumps on session-grade
-// changes the policy snapshot epoch does not see.
+// PushEpoch answers SUBSCRIBE with the engine's push epoch, which also
+// bumps on session-grade changes the policy snapshot epoch does not
+// see.
 func (b wireBackend) PushEpoch() uint64 { return b.srv.system().PushEpoch() }
 
-// CheckCacheable upgrades the backend to wire.CacheBackend: a
-// CACHE-flagged CHECK additionally reports whether the verdict is safe
-// for an epoch-tagged client cache.
-func (b wireBackend) CheckCacheable(session, operation, object string) (allowed, cacheable bool) {
-	return b.srv.system().CheckAccessTupleCacheable(session, operation, object)
-}
-
-// CheckTraced upgrades the backend to wire.TraceBackend: a TRACE-flagged
-// CHECK runs the fully traced cascade and retains the trace under the
-// client-minted id, resolvable at /v1/traces/{id}.
-func (b wireBackend) CheckTraced(session, operation, object string, tid [wire.TraceIDSize]byte) bool {
-	return b.srv.system().CheckAccessTupleTraced(session, operation, object, activerbac.TraceID(tid))
-}
-
-// CheckBatch upgrades the backend to wire.BatchBackend: a CHECK_BATCH
-// frame becomes one batch-native engine pass instead of a per-tuple
-// fan-out. The conversion slice is pooled; the strings inside were
-// already allocated by the frame decode.
-func (b wireBackend) CheckBatch(reqs []wire.CheckRequest, vs []bool) []bool {
-	cb := checkConvPool.Get().(*[]activerbac.BatchCheck)
-	checks := (*cb)[:0]
-	for _, r := range reqs {
-		checks = append(checks, activerbac.BatchCheck{
-			Session: r.Session, Operation: r.Operation, Object: r.Object,
-		})
+func (b wireBackend) SyncSnapshot(replica string, applied uint64) (wire.SyncState, error) {
+	if b.srv.hub == nil {
+		return wire.SyncState{}, wire.ErrUnsupported
 	}
-	vs = b.srv.system().CheckAccessBatch(checks, vs)
-	for i := range checks {
-		checks[i] = activerbac.BatchCheck{}
+	return b.srv.hub.SyncSnapshot(replica, applied)
+}
+
+// ReplicaDisconnected marks the hub's registry row disconnected when a
+// replica's SYNC connection closes.
+func (b wireBackend) ReplicaDisconnected(replica string) {
+	if b.srv.hub != nil {
+		b.srv.hub.ReplicaDisconnected(replica)
 	}
-	*cb = checks[:0]
-	checkConvPool.Put(cb)
-	return vs
-}
-
-// CheckBatchTraced upgrades the backend to wire.BatchTraceBackend: the
-// batch's first tuple runs the traced cascade under the client id, the
-// remainder stays batch-native.
-func (b wireBackend) CheckBatchTraced(reqs []wire.CheckRequest, vs []bool, tid [wire.TraceIDSize]byte) []bool {
-	cb := checkConvPool.Get().(*[]activerbac.BatchCheck)
-	checks := (*cb)[:0]
-	for _, r := range reqs {
-		checks = append(checks, activerbac.BatchCheck{
-			Session: r.Session, Operation: r.Operation, Object: r.Object,
-		})
-	}
-	vs = b.srv.system().CheckAccessBatchTraced(checks, vs, activerbac.TraceID(tid))
-	for i := range checks {
-		checks[i] = activerbac.BatchCheck{}
-	}
-	*cb = checks[:0]
-	checkConvPool.Put(cb)
-	return vs
-}
-
-var checkConvPool = sync.Pool{New: func() any {
-	b := make([]activerbac.BatchCheck, 0, 256)
-	return &b
-}}
-
-// leaderWireBackend upgrades the wire backend with the replication
-// leader's halves: wire.SyncBackend (SYNC frames stream hub snapshots)
-// and wire.ReplicaTracker (connection teardown marks the registry row
-// disconnected).
-type leaderWireBackend struct {
-	wireBackend
-	hub *replicate.Hub
-}
-
-func (b leaderWireBackend) SyncSnapshot(replica string, applied uint64) (wire.SyncState, error) {
-	return b.hub.SyncSnapshot(replica, applied)
-}
-
-func (b leaderWireBackend) ReplicaDisconnected(replica string) {
-	b.hub.ReplicaDisconnected(replica)
 }
 
 // replicaApplier installs synced snapshots on a replica. A snapshot
@@ -923,55 +883,47 @@ var (
 const traceHeader = "X-Activerbac-Trace"
 
 // traceID pulls a client-minted trace id off the request. ok is false
-// only when the header is present but malformed (the caller answers
-// 400); an absent header yields a zero id with ok true.
-func traceID(w http.ResponseWriter, r *http.Request) (activerbac.TraceID, bool, bool) {
+// only when the header is present but malformed (traceID has answered
+// 400); an absent header yields the zero (untraced) id with ok true.
+func traceID(w http.ResponseWriter, r *http.Request) (activerbac.TraceID, bool) {
 	h := r.Header.Get(traceHeader)
 	if h == "" {
-		return activerbac.TraceID{}, false, true
+		return activerbac.TraceID{}, true
 	}
 	tid, err := activerbac.ParseTraceID(h)
 	if err != nil || tid.IsZero() {
 		http.Error(w, `{"error":"bad `+traceHeader+` header: want 32 hex chars, nonzero"}`, http.StatusBadRequest)
-		return activerbac.TraceID{}, false, false
+		return activerbac.TraceID{}, false
 	}
 	// Echo the id so callers correlate the response with /v1/traces/{id}.
 	w.Header().Set(traceHeader, tid.String())
-	return tid, true, true
+	return tid, true
 }
 
 func (s *server) check(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	if purpose := q.Get("purpose"); purpose != "" {
-		sid := activerbac.SessionID(q.Get("session"))
-		perm := activerbac.Permission{Operation: q.Get("operation"), Object: q.Get("object")}
-		allowed := s.system().CheckAccessForPurpose(sid, perm, purpose)
-		writeJSON(w, http.StatusOK, map[string]bool{"allowed": allowed})
-		return
+	req := activerbac.CheckRequest{
+		Session: q.Get("session"), Operation: q.Get("operation"), Object: q.Get("object"),
+		Purpose: q.Get("purpose"),
 	}
-	if q.Get("explain") != "" {
-		sid := activerbac.SessionID(q.Get("session"))
-		perm := activerbac.Permission{Operation: q.Get("operation"), Object: q.Get("object")}
-		ex := s.system().ExplainAccess(sid, perm)
+	if req.Purpose == "" && q.Get("explain") != "" {
+		ex := s.system().ExplainAccess(activerbac.SessionID(req.Session),
+			activerbac.Permission{Operation: req.Operation, Object: req.Object})
 		writeJSON(w, http.StatusOK, ex)
 		return
 	}
-	// The plain check is the hot path: the string-tuple entry reaches
-	// the zero-alloc DecideCheck fast path (no SessionID/Permission/
-	// Params wrappers) and the verdict body is pre-encoded. A trace
-	// header diverts onto the traced cascade instead.
-	tid, traced, ok := traceID(w, r)
-	if !ok {
-		return
-	}
-	var allowed bool
-	if traced {
-		allowed = s.system().CheckAccessTupleTraced(q.Get("session"), q.Get("operation"), q.Get("object"), tid)
-	} else {
-		allowed = s.system().CheckAccessTuple(q.Get("session"), q.Get("operation"), q.Get("object"))
+	// The plain check is the hot path: the string request reaches the
+	// zero-alloc fast path (no SessionID/Permission/Params wrappers) and
+	// the verdict body is pre-encoded. A trace header diverts onto the
+	// traced cascade instead; purpose checks carry no client trace.
+	if req.Purpose == "" {
+		var ok bool
+		if req.Trace, ok = traceID(w, r); !ok {
+			return
+		}
 	}
 	body := checkBodyDeny
-	if allowed {
+	if s.system().Check(req).Allowed {
 		body = checkBodyAllow
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -982,10 +934,11 @@ func (s *server) check(w http.ResponseWriter, r *http.Request) {
 // checkBatch decides a whole batch of access checks in one batch-native
 // engine pass (System.CheckAccessBatch): one snapshot capture, one lane
 // crossing per scope group. The batch size shares the wire protocol's
-// MaxBatch bound so both transports accept the same frames.
+// MaxBatch bound so both transports accept the same frames. A trace
+// header traces the batch's first check.
 func (s *server) checkBatch(w http.ResponseWriter, r *http.Request) {
 	var req struct {
-		Checks []activerbac.BatchCheck `json:"checks"`
+		Checks []activerbac.CheckRequest `json:"checks"`
 	}
 	if err := json.NewDecoder(io.LimitReader(r.Body, 8<<20)).Decode(&req); err != nil {
 		http.Error(w, `{"error":"bad request body"}`, http.StatusBadRequest)
@@ -996,16 +949,14 @@ func (s *server) checkBatch(w http.ResponseWriter, r *http.Request) {
 			http.StatusBadRequest)
 		return
 	}
-	tid, traced, ok := traceID(w, r)
+	tid, ok := traceID(w, r)
 	if !ok {
 		return
 	}
-	var verdicts []bool
-	if traced && len(req.Checks) > 0 {
-		verdicts = s.system().CheckAccessBatchTraced(req.Checks, nil, tid)
-	} else {
-		verdicts = s.system().CheckAccessBatch(req.Checks, nil)
+	if len(req.Checks) > 0 {
+		req.Checks[0].Trace = tid
 	}
+	verdicts := s.system().CheckAccessBatch(req.Checks, nil)
 	if verdicts == nil {
 		verdicts = []bool{} // encode an empty batch as [], not null
 	}

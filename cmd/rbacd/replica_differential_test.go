@@ -165,7 +165,7 @@ func TestReplicaDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wireSrv := wire.NewServer(leaderWireBackend{wireBackend{srv}, srv.hub}, nil)
+	wireSrv := wire.NewServer(wireBackend{srv}, nil)
 	sys.OnEpochBump(wireSrv.NotifyEpoch)
 	go wireSrv.Serve(wln)
 	defer wireSrv.Close()

@@ -32,15 +32,32 @@ user omar: Auditor
 `
 
 // leaderBackend adapts the leader system + hub to the wire server's
-// optional-interface upgrades (sync, push, replica tracking).
+// Backend: checks, epochs, and SYNC with replica tracking.
 type leaderBackend struct {
 	sys *activerbac.System
 	hub *replicate.Hub
 }
 
-func (b leaderBackend) Check(s, op, obj string) bool { return b.sys.CheckAccessTuple(s, op, obj) }
-func (b leaderBackend) PolicyEpoch() uint64          { return b.sys.SnapshotEpoch() }
-func (b leaderBackend) PushEpoch() uint64            { return b.sys.PushEpoch() }
+func (b leaderBackend) Check(r wire.CheckRequest) (allowed, cacheable bool) {
+	res := b.sys.Check(activerbac.CheckRequest{
+		Session: r.Session, Operation: r.Operation, Object: r.Object,
+		Trace: activerbac.TraceID(r.Trace), WantCacheable: r.WantCacheable,
+	})
+	return res.Allowed, res.Cacheable
+}
+
+func (b leaderBackend) CheckBatch(reqs []wire.CheckRequest, vs []bool) []bool {
+	checks := make([]activerbac.CheckRequest, len(reqs))
+	for i, r := range reqs {
+		checks[i] = activerbac.CheckRequest{
+			Session: r.Session, Operation: r.Operation, Object: r.Object, Trace: activerbac.TraceID(r.Trace),
+		}
+	}
+	return b.sys.CheckAccessBatch(checks, vs)
+}
+
+func (b leaderBackend) PolicyEpoch() uint64 { return b.sys.SnapshotEpoch() }
+func (b leaderBackend) PushEpoch() uint64   { return b.sys.PushEpoch() }
 func (b leaderBackend) SyncSnapshot(name string, applied uint64) (wire.SyncState, error) {
 	return b.hub.SyncSnapshot(name, applied)
 }

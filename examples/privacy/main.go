@@ -66,7 +66,9 @@ func main() {
 	}
 
 	show := func(who string, sid activerbac.SessionID, purpose string) {
-		ok := sys.CheckAccessForPurpose(sid, chart, purpose)
+		ok := sys.Check(activerbac.CheckRequest{
+			Session: string(sid), Operation: chart.Operation, Object: chart.Object, Purpose: purpose,
+		}).Allowed
 		verdict := "DENIED"
 		if ok {
 			verdict = "allowed"

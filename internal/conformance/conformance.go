@@ -298,14 +298,14 @@ consent-required chart
 			if err := sys.AddActiveRole("d", sid, "Doctor"); err != nil {
 				return err
 			}
-			p := activerbac.Permission{Operation: "read", Object: "chart"}
-			if sys.CheckAccessForPurpose(sid, p, "treatment") {
+			req := activerbac.CheckRequest{Session: string(sid), Operation: "read", Object: "chart", Purpose: "treatment"}
+			if sys.Check(req).Allowed {
 				return errors.New("access allowed without consent")
 			}
 			if err := sys.GrantConsent("chart", "treatment"); err != nil {
 				return err
 			}
-			if !sys.CheckAccessForPurpose(sid, p, "treatment") {
+			if !sys.Check(req).Allowed {
 				return errors.New("access denied despite consent")
 			}
 			return nil

@@ -5,9 +5,9 @@
 // and serves checks entirely from its local snapshot, resyncing
 // whenever an EPOCH_PUSH reveals a gap. It replaces the in-process
 // internal/cluster seed with a real over-the-wire protocol: the leader
-// side is Hub (a wire.SyncBackend with a replica registry), the
-// replica side is Replica (the sync state machine rbacd's replica mode
-// runs).
+// side is Hub (the SYNC half of a wire.Backend plus a replica
+// registry), the replica side is Replica (the sync state machine
+// rbacd's replica mode runs).
 //
 // Staleness semantics: replication is asynchronous. A replica is
 // always internally consistent — it serves some epoch the leader
@@ -50,8 +50,8 @@ type HubInstruments struct {
 }
 
 // Hub is the leader side of the replication protocol: it serves SYNC
-// requests (wire.SyncBackend's SyncSnapshot refinement — rbacd's
-// backend embeds it) and keeps the replica registry GET /v1/replication
+// requests (the SyncSnapshot and ReplicaDisconnected methods of
+// rbacd's wire.Backend delegate to it) and keeps the replica registry GET /v1/replication
 // reports. One encoded snapshot is cached per epoch, so a fleet of N
 // replicas resyncing after one push costs one serialization, not N.
 type Hub struct {
@@ -140,8 +140,8 @@ func (h *Hub) SyncSnapshot(replica string, applied uint64) (wire.SyncState, erro
 }
 
 // ReplicaDisconnected marks a replica's connection state down; the
-// wire server calls it when a connection that issued SYNC requests
-// closes (wire.ReplicaTracker).
+// wire server calls it (through wire.Backend) when a connection that
+// issued SYNC requests closes.
 func (h *Hub) ReplicaDisconnected(replica string) {
 	h.mu.Lock()
 	if e := h.replicas[replica]; e != nil {

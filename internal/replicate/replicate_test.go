@@ -58,9 +58,15 @@ type hubBackend struct {
 	truncate atomic.Bool
 }
 
-func (b *hubBackend) Check(_, _, _ string) bool { return false }
-func (b *hubBackend) PolicyEpoch() uint64       { return b.exp.PushEpoch() }
-func (b *hubBackend) PushEpoch() uint64         { return b.exp.PushEpoch() }
+func (b *hubBackend) Check(wire.CheckRequest) (allowed, cacheable bool) { return false, false }
+func (b *hubBackend) CheckBatch(reqs []wire.CheckRequest, vs []bool) []bool {
+	for range reqs {
+		vs = append(vs, false)
+	}
+	return vs
+}
+func (b *hubBackend) PolicyEpoch() uint64 { return b.exp.PushEpoch() }
+func (b *hubBackend) PushEpoch() uint64   { return b.exp.PushEpoch() }
 func (b *hubBackend) SyncSnapshot(replica string, applied uint64) (wire.SyncState, error) {
 	st, err := b.hub.SyncSnapshot(replica, applied)
 	if err != nil || len(st.Data) == 0 {

@@ -8,15 +8,6 @@ import (
 	"activerbac/internal/obs"
 )
 
-// CheckTuple is one enforcement request of a batch: the canonical
-// four-field tuple DecideCheck takes as separate arguments.
-type CheckTuple struct {
-	User      string
-	Session   string
-	Operation string
-	Object    string
-}
-
 // Verdict is one settled batch decision: the aggregate allow/deny and,
 // on a denial, the first deny reason (the same pair Decision.Verdict
 // reports).
@@ -157,10 +148,14 @@ func (bs *batchState) decSlab(n int) []Decision {
 //
 //   - trace ring without a sampler (trace-everything): the batch falls
 //     back to per-tuple DecideCheck calls, each fully traced;
-//   - trace ring with a sampler: a sampled batch traces exactly one
-//     tuple through the full per-tuple cascade while the remainder
-//     stays batch-native on the carrier fast path; an unsampled batch
-//     is entirely batch-native.
+//   - a sampled batch, or one whose first tuple carries a client trace
+//     id, decides that first tuple through the full per-tuple cascade
+//     (traced under its id) while the remainder stays batch-native on
+//     the carrier fast path; trace ids on later tuples are not
+//     honoured, and an unsampled, untraced batch is entirely
+//     batch-native. The one-tuple detour shows up in the per-tuple
+//     decision metrics instead of the batch row; the batch-size
+//     distribution still records the full submitted size.
 //
 // See DESIGN.md §5.6 and §5.7.
 func (e *Engine) DecideCheckBatch(eventName string, tuples []CheckTuple, verdicts []Verdict) ([]Verdict, error) {
@@ -169,76 +164,42 @@ func (e *Engine) DecideCheckBatch(eventName string, tuples []CheckTuple, verdict
 	if n == 0 {
 		return verdicts, nil
 	}
-	o := e.obs
-	var t0 time.Time
-	if o != nil {
-		t0 = e.clk.Now()
+	first := &tuples[0]
+	o, t0, traced := e.begin(!first.Trace.IsZero())
+	if traced && o != nil && o.Sampler == nil {
+		for i := range tuples {
+			dec, err := e.DecideCheck(eventName, tuples[i])
+			if err != nil {
+				return verdicts, err
+			}
+			allowed, reason := dec.Verdict()
+			verdicts = append(verdicts, Verdict{Allowed: allowed, Reason: reason})
+		}
+		return verdicts, nil
 	}
-	if o != nil && o.Traces != nil {
-		if o.Sampler == nil {
-			for i := range tuples {
-				t := &tuples[i]
-				dec, err := e.DecideCheck(eventName, t.User, t.Session, t.Operation, t.Object)
-				if err != nil {
-					return verdicts, err
-				}
-				allowed, reason := dec.Verdict()
-				verdicts = append(verdicts, Verdict{Allowed: allowed, Reason: reason})
+	if traced || !first.Trace.IsZero() {
+		dec, err := e.decideCheck(o, t0, traced, eventName, *first)
+		if err != nil {
+			return verdicts, err
+		}
+		allowed, reason := dec.Verdict()
+		verdicts = append(verdicts, Verdict{Allowed: allowed, Reason: reason})
+		if n == 1 {
+			if o != nil {
+				o.BatchSize.Observe(1)
 			}
 			return verdicts, nil
 		}
-		if o.Sampler.Sample(t0) {
-			return e.decideBatchSplit(o, t0, eventName, tuples, verdicts, obs.TraceID{})
-		}
+		tuples = tuples[1:]
 	}
 	return e.decideBatchCore(o, t0, eventName, tuples, verdicts, n)
 }
 
-// DecideCheckBatchTraced is DecideCheckBatch with a caller-supplied
-// trace identity: the batch's first tuple runs the full per-tuple
-// cascade traced under tid (resolvable at /v1/traces/{id}), the rest
-// stays batch-native — the same one-tuple shape sampled batches take.
-func (e *Engine) DecideCheckBatchTraced(eventName string, tuples []CheckTuple, verdicts []Verdict, tid obs.TraceID) ([]Verdict, error) {
-	verdicts = verdicts[:0]
-	n := len(tuples)
-	if n == 0 {
-		return verdicts, nil
-	}
-	o := e.obs
-	var t0 time.Time
-	if o != nil {
-		t0 = e.clk.Now()
-	}
-	return e.decideBatchSplit(o, t0, eventName, tuples, verdicts, tid)
-}
-
-// decideBatchSplit decides tuples[0] through the traced per-tuple
-// cascade and the remainder batch-native: the shape both sampled and
-// client-traced batches take. The one-tuple detour shows up in the
-// per-tuple decision metrics instead of the batch row; the batch-size
-// distribution still records the full submitted size.
-func (e *Engine) decideBatchSplit(o *obs.Observer, t0 time.Time, eventName string, tuples []CheckTuple, verdicts []Verdict, tid obs.TraceID) ([]Verdict, error) {
-	t := &tuples[0]
-	dec, err := e.DecideCheckTraced(eventName, t.User, t.Session, t.Operation, t.Object, tid)
-	if err != nil {
-		return verdicts, err
-	}
-	allowed, reason := dec.Verdict()
-	verdicts = append(verdicts, Verdict{Allowed: allowed, Reason: reason})
-	if len(tuples) == 1 {
-		if o != nil {
-			o.BatchSize.Observe(1)
-		}
-		return verdicts, nil
-	}
-	return e.decideBatchCore(o, t0, eventName, tuples[1:], verdicts, len(tuples))
-}
-
-// decideBatchCore is the batch-native evaluation floor shared by every
-// entry point above: one snapshot capture, one up-front cache probe,
-// scope-group lane submission, one settle. batchN is the size of the
-// originally submitted batch (tuples may be a remainder after a traced
-// split), recorded once into the batch-size distribution.
+// decideBatchCore is the batch-native evaluation floor: one snapshot
+// capture, one up-front cache probe, scope-group lane submission, one
+// settle. batchN is the size of the originally submitted batch (tuples
+// may be a remainder after a traced split), recorded once into the
+// batch-size distribution.
 func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string, tuples []CheckTuple, verdicts []Verdict, batchN int) ([]Verdict, error) {
 	n := len(tuples)
 
@@ -336,10 +297,7 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 			dec.votes = dec.vbuf[:0]
 			decs[i] = dec
 			t := &tuples[i]
-			scope := t.Session
-			if scope == "" {
-				scope = t.User
-			}
+			scope := t.scope()
 			gi, ok := bs.groupOf[scope]
 			if !ok {
 				gi = len(bs.scopes)
@@ -351,6 +309,13 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 				}
 			}
 			if shape {
+				// Intern the tuple's strings here, on the staging
+				// goroutine: groups on distinct lanes run their carrier
+				// callbacks concurrently, so those may only read bs.box.
+				bs.boxed(t.User)
+				bs.boxed(t.Session)
+				bs.boxed(t.Operation)
+				bs.boxed(t.Object)
 				bs.gidx[gi] = append(bs.gidx[gi], int32(i))
 				continue
 			}
@@ -374,10 +339,10 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 				batch.RaiseGroupFn(scope, len(idx), func(k int, p event.Params) {
 					i := idx[k]
 					t := &tuples[i]
-					p["user"] = bs.boxed(t.User)
-					p["session"] = bs.boxed(t.Session)
-					p["operation"] = bs.boxed(t.Operation)
-					p["object"] = bs.boxed(t.Object)
+					p["user"] = bs.box[t.User]
+					p["session"] = bs.box[t.Session]
+					p["operation"] = bs.box[t.Operation]
+					p["object"] = bs.box[t.Object]
 					p[DecisionKey] = decs[i]
 				})
 			}

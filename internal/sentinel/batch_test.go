@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"activerbac/internal/clock"
 	"activerbac/internal/core"
 	"activerbac/internal/event"
 )
@@ -49,7 +50,7 @@ func TestDecideCheckBatchMatchesSequential(t *testing.T) {
 	}
 	want := make([]Verdict, 0, len(tuples))
 	for _, tp := range tuples {
-		dec, err := e.DecideCheck("req", tp.User, tp.Session, tp.Operation, tp.Object)
+		dec, err := e.DecideCheck("req", tp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +270,7 @@ func TestDecideCheckBatchCarrierMode(t *testing.T) {
 	}
 	want := make([]Verdict, 0, len(tuples))
 	for _, tp := range tuples {
-		dec, err := e.DecideCheck("req", tp.User, tp.Session, tp.Operation, tp.Object)
+		dec, err := e.DecideCheck("req", tp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,10 +297,17 @@ func TestDecideCheckBatchCarrierMode(t *testing.T) {
 
 // TestDecideCheckBatchCarrierConcurrent hammers carrier-mode batches
 // from several goroutines — the -race proof for the slab-backed
-// decisions and per-group carrier reuse.
+// decisions and per-group carrier reuse — on one lane and on several,
+// where one batch's scope groups deliver concurrently.
 func TestDecideCheckBatchCarrierConcurrent(t *testing.T) {
-	e, _ := newEngine()
-	cacheSafeBobRule(e, "req")
+	for _, lanes := range []int{1, 4} {
+		e := NewEngine(clock.NewSim(t0), WithLanes(lanes))
+		cacheSafeBobRule(e, "req")
+		hammerCarrierBatches(t, e)
+	}
+}
+
+func hammerCarrierBatches(t *testing.T, e *Engine) {
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

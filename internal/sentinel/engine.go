@@ -32,8 +32,8 @@ type Vote struct {
 // and a request no rule voted on at all is denied (no applicable rule —
 // fail closed).
 type Decision struct {
-	mu     sync.Mutex
-	votes  []Vote
+	mu    sync.Mutex
+	votes []Vote
 	// vbuf is inline backing for votes: Decide points votes at it so
 	// the common few-vote cascade records verdicts without a second
 	// allocation. Access only through votes, under mu.
@@ -397,6 +397,41 @@ func (e *Engine) Store() *rbac.Store { return e.store }
 // Monitor returns the external monitoring module.
 func (e *Engine) Monitor() *ExternalMonitor { return e.monitor }
 
+// CheckTuple is one access-check request: the canonical four-field
+// enforcement tuple (user, session, operation, object) plus an optional
+// caller-minted trace identity.
+type CheckTuple struct {
+	User      string
+	Session   string
+	Operation string
+	Object    string
+	// Trace, when nonzero, forces the full cascade (a cached verdict has
+	// no steps to record) and, when a trace ring is configured, retains
+	// the decision's trace under this id regardless of the sampler, so
+	// /v1/traces/{id} resolves the id the client minted at the edge.
+	// With tracing off the id is accepted and ignored.
+	Trace obs.TraceID
+}
+
+// begin opens one decision: with observability on it reads the engine
+// clock and settles whether the request is traced — always when force
+// is set (a client-minted trace id), else by the observer's sampling
+// policy. The engine clock drives both the latency histogram and the
+// trace timestamps, so simulated time in tests and benches stays
+// consistent across every observable. With a nil observer it returns
+// the zero values and the caller runs the pre-observability path.
+func (e *Engine) begin(force bool) (o *obs.Observer, t0 time.Time, traced bool) {
+	o = e.obs
+	if o == nil {
+		return nil, t0, false
+	}
+	t0 = e.clk.Now()
+	if o.Traces != nil {
+		traced = force || o.SampleTrace(t0)
+	}
+	return o, t0, traced
+}
+
 // Decide raises an enforcement event carrying a fresh Decision and
 // blocks until the rule cascade settles, returning the verdict. The
 // caller's params are not mutated. The occurrence is stamped with a
@@ -411,79 +446,44 @@ func (e *Engine) Monitor() *ExternalMonitor { return e.monitor }
 // sampled fraction otherwise — so a sampled production engine keeps the
 // fast path live for the untraced majority.
 func (e *Engine) Decide(eventName string, params event.Params) (*Decision, error) {
-	// Observability: the engine clock drives both the latency histogram
-	// and the trace timestamps, so simulated time in tests and benches
-	// stays consistent across every observable. With a nil observer both
-	// branches collapse to the pre-observability path.
-	o := e.obs
-	var t0 time.Time
-	traced := false
-	if o != nil {
-		t0 = e.clk.Now()
-		if o.Traces != nil {
-			traced = o.SampleTrace(t0)
-		}
-	}
+	o, t0, traced := e.begin(false)
 	if fp := e.fp; fp != nil && !traced {
-		user, session, operation, object, ok := fpRequest(params)
-		if ok && e.cacheable(eventName) {
-			return e.decideCached(o, t0, eventName, user, session, operation, object, params)
+		if t, ok := fpRequest(params); ok && e.cacheable(eventName) {
+			return e.decideCached(o, t0, eventName, t, params)
 		}
 		fp.bypass.Add(1)
 	}
 	return e.cascade(o, t0, eventName, params, nil, nil, 0, 0, traced, obs.TraceID{})
 }
 
-// DecideCheck is Decide for the canonical four-field enforcement tuple
-// (user, session, operation, object). Callers on the CheckAccess hot
-// path pass the fields as plain strings, so a cache hit never builds
-// the Params map — the map and the four interface boxes it costs are
-// only paid when the cascade actually runs. Behaviour is otherwise
-// identical to Decide with those four params.
-func (e *Engine) DecideCheck(eventName, user, session, operation, object string) (*Decision, error) {
-	o := e.obs
-	var t0 time.Time
-	traced := false
-	if o != nil {
-		t0 = e.clk.Now()
-		if o.Traces != nil {
-			traced = o.SampleTrace(t0)
-		}
-	}
-	if fp := e.fp; fp != nil && !traced {
-		if e.cacheable(eventName) {
-			return e.decideCached(o, t0, eventName, user, session, operation, object, nil)
-		}
-		fp.bypass.Add(1)
-	}
-	return e.cascade(o, t0, eventName, checkParams(user, session, operation, object), nil, nil, 0, 0, traced, obs.TraceID{})
+// DecideCheck is Decide for one CheckTuple. Callers on the CheckAccess
+// hot path pass the fields as plain strings, so a cache hit never
+// builds the Params map — the map and the four interface boxes it costs
+// are only paid when the cascade actually runs. A nonzero t.Trace forces
+// a traced cascade (see CheckTuple); behaviour is otherwise identical to
+// Decide with the four params.
+func (e *Engine) DecideCheck(eventName string, t CheckTuple) (*Decision, error) {
+	o, t0, traced := e.begin(!t.Trace.IsZero())
+	return e.decideCheck(o, t0, traced, eventName, t)
 }
 
-// DecideCheckTraced is DecideCheck with a caller-supplied trace
-// identity: the request always runs the full cascade (a cached verdict
-// has no steps to record) and, when a trace ring is configured, its
-// trace is retained under tid so /v1/traces/{id} resolves the id the
-// client minted at the edge — regardless of the sampler's verdict.
-// With tracing off entirely the id is accepted and ignored.
-func (e *Engine) DecideCheckTraced(eventName, user, session, operation, object string, tid obs.TraceID) (*Decision, error) {
-	o := e.obs
-	var t0 time.Time
-	traced := false
-	if o != nil {
-		t0 = e.clk.Now()
-		traced = o.Traces != nil
-	}
+// decideCheck is DecideCheck after the preamble; the batch path calls it
+// directly to send one tuple down the traced per-tuple cascade.
+func (e *Engine) decideCheck(o *obs.Observer, t0 time.Time, traced bool, eventName string, t CheckTuple) (*Decision, error) {
 	if fp := e.fp; fp != nil && !traced {
+		if t.Trace.IsZero() && e.cacheable(eventName) {
+			return e.decideCached(o, t0, eventName, t, nil)
+		}
 		fp.bypass.Add(1)
 	}
-	return e.cascade(o, t0, eventName, checkParams(user, session, operation, object), nil, nil, 0, 0, traced, tid)
+	return e.cascade(o, t0, eventName, checkParams(t), nil, nil, 0, 0, traced, t.Trace)
 }
 
 // checkParams builds the Params map for the four-field tuple.
-func checkParams(user, session, operation, object string) event.Params {
+func checkParams(t CheckTuple) event.Params {
 	return event.Params{
-		"user": user, "session": session,
-		"operation": operation, "object": object,
+		"user": t.User, "session": t.Session,
+		"operation": t.Operation, "object": t.Object,
 	}
 }
 
@@ -494,20 +494,20 @@ func checkParams(user, session, operation, object string) event.Params {
 // bumps the epoch or session generation — makes the hit invalid or the
 // stored entry stale. params may be nil (the DecideCheck entry); the
 // map is then only built if the cascade runs.
-func (e *Engine) decideCached(o *obs.Observer, t0 time.Time, eventName, user, session, operation, object string, params event.Params) (*Decision, error) {
+func (e *Engine) decideCached(o *obs.Observer, t0 time.Time, eventName string, t CheckTuple, params event.Params) (*Decision, error) {
 	fp := e.fp
 	buf := fpKeyPool.Get().(*[]byte)
-	key, fits := appendFPKey((*buf)[:0], eventName, user, session, operation, object)
+	key, fits := appendFPKey((*buf)[:0], eventName, t.User, t.Session, t.Operation, t.Object)
 	if !fits {
 		fpKeyPool.Put(buf)
 		fp.bypass.Add(1)
 		if params == nil {
-			params = checkParams(user, session, operation, object)
+			params = checkParams(t)
 		}
 		return e.cascade(o, t0, eventName, params, nil, nil, 0, 0, false, obs.TraceID{})
 	}
 	epoch := fp.epoch.Load()
-	sgen := fp.sgen(session)
+	sgen := fp.sgen(t.Session)
 	if dec, hit := fp.lookup(key, epoch, sgen); hit {
 		*buf = key[:0]
 		fpKeyPool.Put(buf)
@@ -522,7 +522,7 @@ func (e *Engine) decideCached(o *obs.Observer, t0 time.Time, eventName, user, se
 			if sl := o.Slow; sl != nil && sl.Exceeds(elapsed) {
 				o.SlowDecisions.Inc()
 				sl.Record(obs.SlowRecord{
-					At: t0, Event: eventName, Scope: scopeOfCheck(user, session),
+					At: t0, Event: eventName, Scope: t.scope(),
 					Seconds: elapsed.Seconds(), Allowed: true,
 				})
 			}
@@ -534,7 +534,7 @@ func (e *Engine) decideCached(o *obs.Observer, t0 time.Time, eventName, user, se
 		o.StageFastPath.Observe(e.clk.Now().Sub(t0).Seconds())
 	}
 	if params == nil {
-		params = checkParams(user, session, operation, object)
+		params = checkParams(t)
 	}
 	return e.cascade(o, t0, eventName, params, buf, key, epoch, sgen, false, obs.TraceID{})
 }
@@ -620,13 +620,13 @@ func (e *Engine) cascade(o *obs.Observer, t0 time.Time, eventName string, params
 	return dec, nil
 }
 
-// scopeOfCheck is scopeOf for the four-field tuple entry points: the
-// session when present, else the user.
-func scopeOfCheck(user, session string) string {
-	if session != "" {
-		return session
+// scope is scopeOf for a CheckTuple: the session when present, else
+// the user.
+func (t *CheckTuple) scope() string {
+	if t.Session != "" {
+		return t.Session
 	}
-	return user
+	return t.User
 }
 
 // scopeOf derives the sharding key of a request from its parameters:

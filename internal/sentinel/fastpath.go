@@ -175,26 +175,26 @@ func appendFPKey(buf []byte, event, user, session, operation, object string) ([]
 // parameter outside the known string quartet makes the request
 // uncacheable: an unknown parameter could steer a rule condition and
 // must not collapse into another tuple's cache line.
-func fpRequest(params map[string]any) (user, session, operation, object string, ok bool) {
+func fpRequest(params map[string]any) (t CheckTuple, ok bool) {
 	for k, v := range params {
 		s, isStr := v.(string)
 		if !isStr {
-			return "", "", "", "", false
+			return CheckTuple{}, false
 		}
 		switch k {
 		case "user":
-			user = s
+			t.User = s
 		case "session":
-			session = s
+			t.Session = s
 		case "operation":
-			operation = s
+			t.Operation = s
 		case "object":
-			object = s
+			t.Object = s
 		default:
-			return "", "", "", "", false
+			return CheckTuple{}, false
 		}
 	}
-	return user, session, operation, object, true
+	return t, true
 }
 
 // fnv1a is the 64-bit FNV-1a hash.

@@ -60,56 +60,15 @@ func TestNotifyPushCoalesces(t *testing.T) {
 // ---------------------------------------------------------------------------
 // SUBSCRIBE / EPOCH_PUSH / CacheFlag integration
 
-// pushTestBackend upgrades testBackend with the push-epoch and
-// cacheability interfaces: the push epoch is test-controlled, and
-// verdicts on object "volatile" are allowed but never cacheable.
-type pushTestBackend struct {
-	*testBackend
-	push atomic.Uint64
-}
-
-func newPushTestBackend() *pushTestBackend {
-	return &pushTestBackend{testBackend: newTestBackend()}
-}
-
-func (pb *pushTestBackend) PushEpoch() uint64 { return pb.push.Load() }
-
-func (pb *pushTestBackend) CheckCacheable(session, operation, object string) (allowed, cacheable bool) {
-	allowed = pb.Check(session, operation, object)
-	return allowed, allowed && object != "volatile"
-}
-
-// startPushServer is startServer for any backend shape.
-func startPushServer(t *testing.T, b Backend, opts *ServerOptions) (*Server, string) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	srv := NewServer(b, opts)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if err := srv.Serve(ln); err != ErrServerClosed {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
-	t.Cleanup(func() {
-		srv.Close()
-		<-done
-	})
-	return srv, ln.Addr().String()
-}
-
 func TestSubscribeDeliversPushes(t *testing.T) {
-	pb := newPushTestBackend()
+	pb := newTestBackend()
 	pb.push.Store(7)
 	var pushed, subGauge atomic.Int64
 	ins := &Instruments{
 		Push:        func() { pushed.Add(1) },
 		Subscribers: func(d float64) { subGauge.Add(int64(d)) },
 	}
-	srv, addr := startPushServer(t, pb, &ServerOptions{Instruments: ins})
+	srv, addr := startServer(t, pb, &ServerOptions{Instruments: ins})
 
 	got := make(chan uint64, 256)
 	cl, err := Dial(addr, &ClientOptions{
@@ -167,6 +126,11 @@ func TestSubscribeDeliversPushes(t *testing.T) {
 			t.Fatalf("latest epoch never arrived; last push = %d", last)
 		}
 	}
+	// The writer counts a push after writing it, so the client can see
+	// the last frame before the counter moves: wait for it.
+	for i := 0; pushed.Load() < 2 && i < 1000; i++ {
+		time.Sleep(time.Millisecond)
+	}
 	if p := pushed.Load(); p < 2 || p > 33 {
 		t.Fatalf("push instrument = %d, want between 2 and 33", p)
 	}
@@ -181,9 +145,55 @@ func TestSubscribeDeliversPushes(t *testing.T) {
 	}
 }
 
+// startOldPeer serves a hand-rolled peer that predates epoch push: it
+// answers SUBSCRIBE and CacheFlag CHECKs with ERROR(unsupported), PING
+// with a pong and anything else with ERROR(unknown op). Every Server
+// backend now pushes, so the client's handling of such peers is tested
+// against this stub.
+func startOldPeer(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				dec := NewDecoder(bufio.NewReader(c), 0)
+				for {
+					f, err := dec.Next()
+					if err != nil {
+						return
+					}
+					var resp []byte
+					switch f.Op {
+					case OpPing:
+						resp = AppendFrame(nil, OpPing|RespFlag, f.ID, f.Payload)
+					case OpSubscribe, OpCheck | CacheFlag:
+						resp = AppendFrame(nil, OpError, f.ID,
+							AppendErrorPayload(nil, ErrCodeUnsupported, "wire: backend does not push epochs"))
+					default:
+						resp = AppendFrame(nil, OpError, f.ID,
+							AppendErrorPayload(nil, ErrCodeUnknownOp, "wire: unknown opcode"))
+					}
+					if _, err := c.Write(resp); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
 func TestSubscribeUnsupportedBackend(t *testing.T) {
-	tb := newTestBackend() // no PushEpoch, no CheckCacheable
-	_, addr := startServer(t, tb, nil)
+	addr := startOldPeer(t)
 	cl, err := Dial(addr, &ClientOptions{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
@@ -205,8 +215,8 @@ func TestSubscribeUnsupportedBackend(t *testing.T) {
 }
 
 func TestSubscribeLimit(t *testing.T) {
-	pb := newPushTestBackend()
-	_, addr := startPushServer(t, pb, &ServerOptions{MaxSubscribers: 1})
+	pb := newTestBackend()
+	_, addr := startServer(t, pb, &ServerOptions{MaxSubscribers: 1})
 
 	cl1, err := Dial(addr, &ClientOptions{Timeout: 5 * time.Second})
 	if err != nil {
@@ -231,8 +241,8 @@ func TestSubscribeLimit(t *testing.T) {
 // TestSubscribePayloadRejected: SUBSCRIBE carries no payload; a frame
 // with one gets ErrCodeBadRequest and the connection survives.
 func TestSubscribePayloadRejected(t *testing.T) {
-	pb := newPushTestBackend()
-	_, addr := startPushServer(t, pb, nil)
+	pb := newTestBackend()
+	_, addr := startServer(t, pb, nil)
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -256,8 +266,8 @@ func TestSubscribePayloadRejected(t *testing.T) {
 }
 
 func TestCheckCacheable(t *testing.T) {
-	pb := newPushTestBackend()
-	_, addr := startPushServer(t, pb, nil)
+	pb := newTestBackend()
+	_, addr := startServer(t, pb, nil)
 	cl, err := Dial(addr, &ClientOptions{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
@@ -286,8 +296,8 @@ func TestCheckCacheable(t *testing.T) {
 // TestSubscriptionLostOnDrop: when the subscribed connection dies, the
 // loss callback fires so push-derived caches can stop serving.
 func TestSubscriptionLostOnDrop(t *testing.T) {
-	pb := newPushTestBackend()
-	srv, addr := startPushServer(t, pb, nil)
+	pb := newTestBackend()
+	srv, addr := startServer(t, pb, nil)
 	lost := make(chan struct{}, 1)
 	cl, err := Dial(addr, &ClientOptions{
 		Timeout:            5 * time.Second,

@@ -13,93 +13,49 @@ import (
 	"time"
 )
 
-// Backend is what a wire server enforces against. Implementations must
-// be safe for concurrent use; rbacd adapts *activerbac.System.
+// Backend is what a wire server enforces against: every request the
+// protocol carries maps onto one method. Implementations must be safe
+// for concurrent use; rbacd adapts *activerbac.System.
 type Backend interface {
 	// Check decides one access check for the session's user, resolving
-	// the user from the session exactly like GET /v1/check.
-	Check(session, operation, object string) bool
+	// the user from the session exactly like GET /v1/check. The request
+	// carries the TRACE frame's id (zero when untraced) and whether a
+	// CACHE frame asked for the cacheability classification; cacheable
+	// reports whether the verdict is safe for an epoch-tagged client
+	// cache until the next push, and is ignored unless asked.
+	Check(req CheckRequest) (allowed, cacheable bool)
+	// CheckBatch decides every request of one CHECK_BATCH in a single
+	// engine pass, appending one verdict per request to vs in request
+	// order and returning the extended slice (reused when capacity
+	// allows). A traced batch carries its id on reqs[0].
+	CheckBatch(reqs []CheckRequest, vs []bool) []bool
 	// PolicyEpoch reports the published policy snapshot epoch.
 	PolicyEpoch() uint64
-}
-
-// BatchBackend is optionally implemented by a Backend that can decide a
-// whole CHECK_BATCH natively — one engine pass for the frame instead of
-// a per-tuple fan-out. The server detects it once at construction; a
-// plain Backend keeps the per-tuple loop.
-type BatchBackend interface {
-	Backend
-	// CheckBatch decides every request of one batch, appending one
-	// verdict per request to vs in request order and returning the
-	// extended slice (reused when capacity allows).
-	CheckBatch(reqs []CheckRequest, vs []bool) []bool
-}
-
-// TraceBackend is optionally implemented by a Backend that can run a
-// client-traced check: the decision's cascade trace is retained under
-// the supplied 16-byte id. A plain Backend serves TraceFlag CHECKs as
-// ordinary checks (the id is dropped).
-type TraceBackend interface {
-	Backend
-	// CheckTraced is Check with the decision traced under tid.
-	CheckTraced(session, operation, object string, tid [TraceIDSize]byte) bool
-}
-
-// BatchTraceBackend is optionally implemented by a BatchBackend that
-// can decide a TraceFlag CHECK_BATCH natively: the first tuple's trace
-// is retained under tid, the rest stays batch-native.
-type BatchTraceBackend interface {
-	BatchBackend
-	// CheckBatchTraced is CheckBatch with the first tuple traced under
-	// tid.
-	CheckBatchTraced(reqs []CheckRequest, vs []bool, tid [TraceIDSize]byte) []bool
-}
-
-// PushBackend is optionally implemented by a Backend whose epoch bumps
-// the server can push to subscribers. PushEpoch reports the current
-// push epoch — unlike PolicyEpoch it covers session-grade changes
-// (role drops, session deletes) as well as policy-grade ones, so a
-// bump means any cached verdict may have changed. The server detects
-// the upgrade once at construction; without it SUBSCRIBE answers an
-// ErrCodeUnsupported ERROR. The server owns no epoch state of its own:
-// the backend's owner calls Server.NotifyEpoch on every bump.
-type PushBackend interface {
-	Backend
-	// PushEpoch reports the current push epoch.
+	// PushEpoch reports the current push epoch — unlike PolicyEpoch it
+	// covers session-grade changes (role drops, session deletes) as well
+	// as policy-grade ones, so a bump means any cached verdict may have
+	// changed. The server owns no epoch state of its own: the backend's
+	// owner calls Server.NotifyEpoch on every bump.
 	PushEpoch() uint64
-}
-
-// SyncBackend is optionally implemented by a Backend that can serve
-// policy-sync snapshots — the leader side of the replication protocol.
-// Without it a SYNC request answers an ErrCodeUnsupported ERROR, which
-// is how a replica discovers it dialed something that is not a leader.
-type SyncBackend interface {
-	Backend
-	// SyncSnapshot returns the current snapshot for a replica that has
-	// applied the given epoch (0 when it has never synced). The
-	// implementation owns caching — a fleet resyncing after one push
-	// should serialize once, not once per replica.
+	// SyncSnapshot returns the current policy-sync snapshot for a replica
+	// that has applied the given epoch (0 when it has never synced) — the
+	// leader side of the replication protocol. The implementation owns
+	// caching: a fleet resyncing after one push should serialize once,
+	// not once per replica. A backend that is not a leader returns
+	// ErrUnsupported, which the server answers with an
+	// ErrCodeUnsupported ERROR — how a replica discovers it dialed
+	// something that is not a leader.
 	SyncSnapshot(replica string, applied uint64) (SyncState, error)
-}
-
-// ReplicaTracker is optionally implemented by a SyncBackend that keeps
-// a replica registry: the server reports when a connection that issued
-// SYNC requests closes, so the registry can mark the replica
-// disconnected.
-type ReplicaTracker interface {
+	// ReplicaDisconnected reports that a connection which issued SYNC
+	// requests closed, so a replica registry can mark the replica
+	// disconnected. Non-leaders ignore it.
 	ReplicaDisconnected(replica string)
 }
 
-// CacheBackend is optionally implemented by a Backend that classifies
-// verdict cacheability (the fastpath CA1 shape: the verdict depends
-// only on state tagged by the push epoch). Without it a CacheFlag
-// CHECK answers an ErrCodeUnsupported ERROR.
-type CacheBackend interface {
-	Backend
-	// CheckCacheable is Check plus whether the verdict is safe for an
-	// epoch-tagged client cache until the next push.
-	CheckCacheable(session, operation, object string) (allowed, cacheable bool)
-}
+// ErrUnsupported is returned by a Backend for a request it does not
+// serve (SYNC on a non-leader); the server maps it to an
+// ErrCodeUnsupported ERROR.
+var ErrUnsupported = errors.New("wire: unsupported request")
 
 // Instruments are optional transport metrics hooks; any field may be
 // nil. rbacd wires them to the activerbac_wire_* metric families.
@@ -187,23 +143,6 @@ var ErrServerClosed = errors.New("wire: server closed")
 // methods are safe for concurrent use.
 type Server struct {
 	backend Backend
-	// batch is backend's BatchBackend upgrade, asserted once at
-	// construction; nil keeps the per-tuple CHECK_BATCH fan-out.
-	batch BatchBackend
-	// trace and btrace are the trace-capable upgrades, asserted once at
-	// construction; nil serves TraceFlag requests untraced.
-	trace  TraceBackend
-	btrace BatchTraceBackend
-	// push and cache are the epoch-push upgrades, asserted once at
-	// construction; nil answers SUBSCRIBE / CacheFlag CHECKs with
-	// ErrCodeUnsupported.
-	push  PushBackend
-	cache CacheBackend
-	// syncb is the replication upgrade, asserted once at construction;
-	// nil answers SYNC with ErrCodeUnsupported. tracker is its optional
-	// replica-registry refinement.
-	syncb   SyncBackend
-	tracker ReplicaTracker
 	opts    ServerOptions
 
 	mu     sync.Mutex
@@ -220,22 +159,8 @@ func NewServer(backend Backend, opts *ServerOptions) *Server {
 	if opts != nil {
 		o = *opts
 	}
-	batch, _ := backend.(BatchBackend)
-	trace, _ := backend.(TraceBackend)
-	btrace, _ := backend.(BatchTraceBackend)
-	push, _ := backend.(PushBackend)
-	cache, _ := backend.(CacheBackend)
-	syncb, _ := backend.(SyncBackend)
-	tracker, _ := backend.(ReplicaTracker)
 	return &Server{
 		backend: backend,
-		batch:   batch,
-		trace:   trace,
-		btrace:  btrace,
-		push:    push,
-		cache:   cache,
-		syncb:   syncb,
-		tracker: tracker,
 		opts:    o.withDefaults(),
 		lns:     map[net.Listener]struct{}{},
 		conns:   map[*srvConn]struct{}{},
@@ -396,13 +321,11 @@ func (sc *srvConn) notifyPush(epoch uint64) {
 
 // request is one decoded unit of work handed to the worker pool.
 type request struct {
-	op     byte
-	id     uint32
-	check  CheckRequest   // OpCheck
-	batch  []CheckRequest // OpCheckBatch
-	traced bool           // TraceFlag was set on the request opcode
-	tid    [TraceIDSize]byte
-	start  time.Time // decode instant; zero unless the RTT hook is wired
+	op    byte
+	id    uint32
+	check CheckRequest   // OpCheck
+	batch []CheckRequest // OpCheckBatch
+	start time.Time      // decode instant; zero unless the RTT hook is wired
 }
 
 // response is one frame queued for the writer.
@@ -440,8 +363,8 @@ func (sc *srvConn) run() {
 		if wasSub && ins != nil && ins.Subscribers != nil {
 			ins.Subscribers(-1)
 		}
-		if sc.replicaName != "" && sc.srv.tracker != nil {
-			sc.srv.tracker.ReplicaDisconnected(sc.replicaName)
+		if sc.replicaName != "" {
+			sc.srv.backend.ReplicaDisconnected(sc.replicaName)
 		}
 		sc.c.Close()
 	}()
@@ -531,46 +454,14 @@ func (sc *srvConn) readLoop(sem chan struct{}, out chan<- response, work chan<- 
 			out <- sc.subscribe(f, start, ins)
 		case OpSync:
 			out <- sc.syncResponse(f, start, ins)
-		case OpCheck, OpCheck | TraceFlag, OpCheck | CacheFlag:
-			payload := f.Payload
-			req := request{op: f.Op, id: f.ID, start: start}
-			if f.Op&CacheFlag != 0 && sc.srv.cache == nil {
-				out <- sc.errorResponse(f, ErrCodeUnsupported,
-					errors.New("wire: backend does not classify verdict cacheability"), ins)
-				continue
-			}
-			if f.Op&TraceFlag != 0 {
-				var err error
-				if req.tid, payload, err = ConsumeTraceID(payload); err != nil {
-					out <- sc.errorResponse(f, ErrCodeBadRequest, err, ins)
-					continue
-				}
-				req.traced = true
-			}
-			session, operation, object, err := ConsumeCheck(payload)
+		case OpCheck, OpCheck | TraceFlag, OpCheck | CacheFlag,
+			OpCheckBatch, OpCheckBatch | TraceFlag:
+			req, err := decodeCheck(f)
 			if err != nil {
 				out <- sc.errorResponse(f, ErrCodeBadRequest, err, ins)
 				continue
 			}
-			req.check = CheckRequest{Session: session, Operation: operation, Object: object}
-			work <- req
-		case OpCheckBatch, OpCheckBatch | TraceFlag:
-			payload := f.Payload
-			req := request{op: f.Op, id: f.ID, start: start}
-			if f.Op&TraceFlag != 0 {
-				var err error
-				if req.tid, payload, err = ConsumeTraceID(payload); err != nil {
-					out <- sc.errorResponse(f, ErrCodeBadRequest, err, ins)
-					continue
-				}
-				req.traced = true
-			}
-			batch, err := ConsumeCheckBatch(payload, nil)
-			if err != nil {
-				out <- sc.errorResponse(f, ErrCodeBadRequest, err, ins)
-				continue
-			}
-			req.batch = batch
+			req.start = start
 			work <- req
 		default:
 			out <- sc.errorResponse(f, ErrCodeUnknownOp,
@@ -595,11 +486,6 @@ func (sc *srvConn) subscribe(f Frame, start time.Time, ins *Instruments) respons
 		return sc.errorResponse(f, ErrCodeBadRequest,
 			errors.New("wire: SUBSCRIBE carries no payload"), ins)
 	}
-	pb := sc.srv.push
-	if pb == nil {
-		return sc.errorResponse(f, ErrCodeUnsupported,
-			errors.New("wire: backend does not push epochs"), ins)
-	}
 	sc.srv.mu.Lock()
 	_, already := sc.srv.subs[sc]
 	if !already && sc.srv.opts.MaxSubscribers > 0 &&
@@ -615,7 +501,7 @@ func (sc *srvConn) subscribe(f Frame, start time.Time, ins *Instruments) respons
 		ins.Subscribers(+1)
 	}
 	return response{op: OpSubscribe | RespFlag, id: f.ID,
-		payload: AppendEpoch(nil, pb.PushEpoch()), start: start}
+		payload: AppendEpoch(nil, sc.srv.backend.PushEpoch()), start: start}
 }
 
 // syncResponse serves one SYNC request inline on the read loop: the
@@ -624,11 +510,6 @@ func (sc *srvConn) subscribe(f Frame, start time.Time, ins *Instruments) respons
 // them keeps the protocol simple. Backend failures condemn the request,
 // not the connection.
 func (sc *srvConn) syncResponse(f Frame, start time.Time, ins *Instruments) response {
-	sb := sc.srv.syncb
-	if sb == nil {
-		return sc.errorResponse(f, ErrCodeUnsupported,
-			errors.New("wire: backend does not serve policy sync"), ins)
-	}
 	replica, applied, err := ConsumeSyncRequest(f.Payload)
 	if err != nil {
 		return sc.errorResponse(f, ErrCodeBadRequest, err, ins)
@@ -637,8 +518,12 @@ func (sc *srvConn) syncResponse(f Frame, start time.Time, ins *Instruments) resp
 		return sc.errorResponse(f, ErrCodeBadRequest,
 			errors.New("wire: SYNC needs a replica name"), ins)
 	}
+	st, err := sc.srv.backend.SyncSnapshot(replica, applied)
+	if errors.Is(err, ErrUnsupported) {
+		return sc.errorResponse(f, ErrCodeUnsupported,
+			errors.New("wire: backend does not serve policy sync"), ins)
+	}
 	sc.replicaName = replica
-	st, err := sb.SyncSnapshot(replica, applied)
 	if err != nil {
 		return sc.errorResponse(f, ErrCodeBadRequest, err, ins)
 	}
@@ -652,17 +537,49 @@ var verdictBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
+// decodeCheck decodes a CHECK or CHECK_BATCH frame into one worker
+// request. A TraceFlag frame's id lands on the (first) request, a
+// CacheFlag frame sets WantCacheable.
+func decodeCheck(f Frame) (request, error) {
+	req := request{op: f.Op, id: f.ID}
+	payload := f.Payload
+	var tid [TraceIDSize]byte
+	if f.Op&TraceFlag != 0 {
+		var err error
+		if tid, payload, err = ConsumeTraceID(payload); err != nil {
+			return req, err
+		}
+	}
+	if f.Op&^(TraceFlag|CacheFlag) == OpCheck {
+		session, operation, object, err := ConsumeCheck(payload)
+		if err != nil {
+			return req, err
+		}
+		req.check = CheckRequest{Session: session, Operation: operation, Object: object,
+			Trace: tid, WantCacheable: f.Op&CacheFlag != 0}
+		return req, nil
+	}
+	batch, err := ConsumeCheckBatch(payload, nil)
+	if err != nil {
+		return req, err
+	}
+	if len(batch) > 0 {
+		batch[0].Trace = tid
+	}
+	req.batch = batch
+	return req, nil
+}
+
 // execute runs one check request against the backend. Responses echo
-// the request opcode (trace flag included) with RespFlag set; a traced
-// response payload is shaped exactly like the untraced one — the trace
-// is retained server-side under the request's id.
+// the request opcode (trace and cache flags included) with RespFlag
+// set; a traced response payload is shaped exactly like the untraced
+// one — the trace is retained server-side under the request's id.
 func (sc *srvConn) execute(req request) response {
-	switch req.op &^ (TraceFlag | CacheFlag) {
-	case OpCheck:
-		if req.op&CacheFlag != 0 {
-			// readLoop admits CacheFlag only when the upgrade exists.
-			allowed, cacheable := sc.srv.cache.CheckCacheable(
-				req.check.Session, req.check.Operation, req.check.Object)
+	if req.op&^(TraceFlag|CacheFlag) == OpCheck {
+		allowed, cacheable := sc.srv.backend.Check(req.check)
+		p := verdictDeny
+		switch {
+		case req.check.WantCacheable:
 			var v byte
 			if allowed {
 				v |= cacheVerdictAllow
@@ -670,52 +587,20 @@ func (sc *srvConn) execute(req request) response {
 			if cacheable {
 				v |= cacheVerdictCacheable
 			}
-			return response{op: req.op | RespFlag, id: req.id, payload: cacheVerdicts[v], start: req.start}
-		}
-		allowed := false
-		if tb := sc.srv.trace; req.traced && tb != nil {
-			allowed = tb.CheckTraced(req.check.Session, req.check.Operation, req.check.Object, req.tid)
-		} else {
-			allowed = sc.srv.backend.Check(req.check.Session, req.check.Operation, req.check.Object)
-		}
-		p := verdictDeny
-		if allowed {
+			p = cacheVerdicts[v]
+		case allowed:
 			p = verdictAllow
 		}
 		return response{op: req.op | RespFlag, id: req.id, payload: p, start: req.start}
-	default: // OpCheckBatch
-		payload := make([]byte, 0, len(req.batch)+binary.MaxVarintLen64)
-		if bb := sc.srv.batch; bb != nil {
-			// Batch-native: one engine pass decides the whole frame and
-			// one append encodes it.
-			vb := verdictBufPool.Get().(*[]bool)
-			var vs []bool
-			if tb := sc.srv.btrace; req.traced && tb != nil {
-				vs = tb.CheckBatchTraced(req.batch, (*vb)[:0], req.tid)
-			} else {
-				vs = bb.CheckBatch(req.batch, (*vb)[:0])
-			}
-			payload = AppendVerdicts(payload, vs)
-			*vb = vs[:0]
-			verdictBufPool.Put(vb)
-		} else {
-			payload = binary.AppendUvarint(payload, uint64(len(req.batch)))
-			for i, r := range req.batch {
-				v := byte(0)
-				allowed := false
-				if tb := sc.srv.trace; req.traced && i == 0 && tb != nil {
-					allowed = tb.CheckTraced(r.Session, r.Operation, r.Object, req.tid)
-				} else {
-					allowed = sc.srv.backend.Check(r.Session, r.Operation, r.Object)
-				}
-				if allowed {
-					v = 1
-				}
-				payload = append(payload, v)
-			}
-		}
-		return response{op: req.op | RespFlag, id: req.id, payload: payload, start: req.start}
 	}
+	// CHECK_BATCH: one engine pass decides the whole frame and one
+	// append encodes it.
+	vb := verdictBufPool.Get().(*[]bool)
+	vs := sc.srv.backend.CheckBatch(req.batch, (*vb)[:0])
+	payload := AppendVerdicts(make([]byte, 0, len(vs)+binary.MaxVarintLen64), vs)
+	*vb = vs[:0]
+	verdictBufPool.Put(vb)
+	return response{op: req.op | RespFlag, id: req.id, payload: payload, start: req.start}
 }
 
 // writeLoop serializes responses and epoch pushes onto the socket,

@@ -71,10 +71,10 @@ func TestSyncStateRoundTrip(t *testing.T) {
 // ---------------------------------------------------------------------------
 // SYNC over a live server
 
-// syncTestBackend upgrades pushTestBackend to a SyncBackend plus
-// ReplicaTracker, recording every request and disconnect.
+// syncTestBackend makes testBackend a replication leader, recording
+// every SYNC request and disconnect.
 type syncTestBackend struct {
-	*pushTestBackend
+	*testBackend
 
 	mu           sync.Mutex
 	requests     []string
@@ -85,7 +85,7 @@ type syncTestBackend struct {
 }
 
 func newSyncTestBackend() *syncTestBackend {
-	return &syncTestBackend{pushTestBackend: newPushTestBackend()}
+	return &syncTestBackend{testBackend: newTestBackend()}
 }
 
 func (sb *syncTestBackend) SyncSnapshot(replica string, applied uint64) (SyncState, error) {
@@ -106,7 +106,7 @@ func TestSyncOverWire(t *testing.T) {
 	sb := newSyncTestBackend()
 	sb.state = SyncState{Epoch: 12, Data: []byte(`{"version":1}`)}
 	sb.state.Hash[0] = 0xAB
-	_, addr := startPushServer(t, sb, nil)
+	_, addr := startServer(t, sb, nil)
 
 	cl, err := Dial(addr, &ClientOptions{Timeout: 5 * time.Second})
 	if err != nil {
@@ -159,7 +159,7 @@ func TestSyncOverWire(t *testing.T) {
 func TestSyncBackendError(t *testing.T) {
 	sb := newSyncTestBackend()
 	sb.err = errors.New("export failed")
-	_, addr := startPushServer(t, sb, nil)
+	_, addr := startServer(t, sb, nil)
 	cl, err := Dial(addr, &ClientOptions{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
@@ -174,9 +174,10 @@ func TestSyncBackendError(t *testing.T) {
 }
 
 func TestSyncUnsupportedBackend(t *testing.T) {
-	// A backend without SyncSnapshot (a replica's own wire listener)
-	// answers SYNC with ERROR(unsupported) and keeps the connection.
-	_, addr := startPushServer(t, newPushTestBackend(), nil)
+	// A non-leader backend (a replica's own wire listener) returns
+	// ErrUnsupported from SyncSnapshot: the server answers SYNC with
+	// ERROR(unsupported) and keeps the connection.
+	_, addr := startServer(t, newTestBackend(), nil)
 	cl, err := Dial(addr, &ClientOptions{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)

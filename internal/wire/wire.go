@@ -163,7 +163,8 @@ const (
 	// ErrCodeUnknownOp: the request opcode is not known to this server.
 	ErrCodeUnknownOp byte = 2
 	// ErrCodeUnsupported: the opcode is known but this server's backend
-	// cannot serve it (e.g. SUBSCRIBE without a push-capable backend).
+	// cannot serve it (SYNC on a non-leader; SUBSCRIBE and CacheFlag
+	// CHECKs on servers predating epoch push).
 	ErrCodeUnsupported byte = 3
 	// ErrCodeSubscribeLimit: the server's subscriber cap is reached.
 	ErrCodeSubscribeLimit byte = 4
@@ -323,11 +324,19 @@ func ConsumeString(b []byte) (s string, rest []byte, err error) {
 	return string(b[:n]), b[n:], nil
 }
 
-// CheckRequest is one access check as carried on the wire.
+// CheckRequest is one access check as carried on the wire. The codec
+// encodes the three strings; Trace and WantCacheable are filled by the
+// server from the frame's TraceFlag prefix and CacheFlag bit (the
+// client's traced and cacheable calls take them as arguments).
 type CheckRequest struct {
 	Session   string
 	Operation string
 	Object    string
+	// Trace is the TraceFlag frame's client-minted id; zero when
+	// untraced. In a batch only the first request carries it.
+	Trace [TraceIDSize]byte
+	// WantCacheable is set by a CacheFlag CHECK.
+	WantCacheable bool
 }
 
 // AppendCheck appends a CHECK request payload.

@@ -174,11 +174,18 @@ func TestEpochRoundTrip(t *testing.T) {
 
 // testBackend is a deterministic Backend: session "blocked" parks until
 // release is closed (for pipelining and drain tests), any other check
-// allows iff operation == "read".
+// allows iff operation == "read", and allows on object "volatile" are
+// classified uncacheable. The push epoch is test-controlled, every trace
+// id a check carries is recorded, and SYNC answers ErrUnsupported like
+// a non-leader (syncTestBackend serves it).
 type testBackend struct {
 	epoch   atomic.Uint64
+	push    atomic.Uint64
 	release chan struct{}
 	parked  atomic.Int32
+
+	mu   sync.Mutex
+	tids [][TraceIDSize]byte
 }
 
 func newTestBackend() *testBackend {
@@ -187,25 +194,53 @@ func newTestBackend() *testBackend {
 	return tb
 }
 
-func (tb *testBackend) Check(session, operation, object string) bool {
-	if session == "blocked" {
+func (tb *testBackend) Check(req CheckRequest) (allowed, cacheable bool) {
+	if req.Trace != ([TraceIDSize]byte{}) {
+		tb.mu.Lock()
+		tb.tids = append(tb.tids, req.Trace)
+		tb.mu.Unlock()
+	}
+	if req.Session == "blocked" {
 		tb.parked.Add(1)
 		<-tb.release
 	}
-	return operation == "read"
+	allowed = req.Operation == "read"
+	return allowed, allowed && req.Object != "volatile"
+}
+
+func (tb *testBackend) CheckBatch(reqs []CheckRequest, vs []bool) []bool {
+	for _, r := range reqs {
+		allowed, _ := tb.Check(r)
+		vs = append(vs, allowed)
+	}
+	return vs
 }
 
 func (tb *testBackend) PolicyEpoch() uint64 { return tb.epoch.Load() }
+func (tb *testBackend) PushEpoch() uint64   { return tb.push.Load() }
 
-// startServer runs a wire server on a loopback listener and returns its
-// address plus a cleanup-registered handle.
-func startServer(t *testing.T, tb *testBackend, opts *ServerOptions) (*Server, string) {
+func (tb *testBackend) SyncSnapshot(string, uint64) (SyncState, error) {
+	return SyncState{}, ErrUnsupported
+}
+
+func (tb *testBackend) ReplicaDisconnected(string) {}
+
+// seen returns the trace ids checks have carried so far.
+func (tb *testBackend) seen() [][TraceIDSize]byte {
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
+	return append([][TraceIDSize]byte(nil), tb.tids...)
+}
+
+// startServer runs a wire server for b on a loopback listener and
+// returns its address plus a cleanup-registered handle.
+func startServer(t *testing.T, b Backend, opts *ServerOptions) (*Server, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	srv := NewServer(tb, opts)
+	srv := NewServer(b, opts)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

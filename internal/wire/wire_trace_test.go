@@ -1,69 +1,9 @@
 package wire
 
 import (
-	"net"
-	"sync"
 	"testing"
 	"time"
 )
-
-// tracedBackend upgrades testBackend with the trace interfaces,
-// recording every trace id it is handed.
-type tracedBackend struct {
-	*testBackend
-
-	mu   sync.Mutex
-	tids [][TraceIDSize]byte
-}
-
-func (tb *tracedBackend) CheckTraced(session, operation, object string, tid [TraceIDSize]byte) bool {
-	tb.mu.Lock()
-	tb.tids = append(tb.tids, tid)
-	tb.mu.Unlock()
-	return tb.Check(session, operation, object)
-}
-
-func (tb *tracedBackend) CheckBatch(reqs []CheckRequest, vs []bool) []bool {
-	for _, r := range reqs {
-		vs = append(vs, tb.Check(r.Session, r.Operation, r.Object))
-	}
-	return vs
-}
-
-func (tb *tracedBackend) CheckBatchTraced(reqs []CheckRequest, vs []bool, tid [TraceIDSize]byte) []bool {
-	tb.mu.Lock()
-	tb.tids = append(tb.tids, tid)
-	tb.mu.Unlock()
-	return tb.CheckBatch(reqs, vs)
-}
-
-func (tb *tracedBackend) seen() [][TraceIDSize]byte {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	return append([][TraceIDSize]byte(nil), tb.tids...)
-}
-
-// startTracedServer mirrors startServer for the upgraded backend.
-func startTracedServer(t *testing.T, tb *tracedBackend, opts *ServerOptions) (*Server, string) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	srv := NewServer(tb, opts)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if err := srv.Serve(ln); err != ErrServerClosed {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
-	t.Cleanup(func() {
-		srv.Close()
-		<-done
-	})
-	return srv, ln.Addr().String()
-}
 
 func TestTraceIDPayloadRoundTrip(t *testing.T) {
 	tid := [TraceIDSize]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
@@ -103,8 +43,8 @@ func TestOpNameFlags(t *testing.T) {
 }
 
 func TestCheckTraced(t *testing.T) {
-	tb := &tracedBackend{testBackend: newTestBackend()}
-	_, addr := startTracedServer(t, tb, nil)
+	tb := newTestBackend()
+	_, addr := startServer(t, tb, nil)
 	cl, err := Dial(addr, &ClientOptions{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
@@ -139,35 +79,11 @@ func TestCheckTraced(t *testing.T) {
 	}
 }
 
-// A plain backend must serve TraceFlag requests as ordinary checks:
-// the flag is additive, not a hard capability requirement.
-func TestCheckTracedPlainBackendDegrades(t *testing.T) {
-	tb := newTestBackend()
-	_, addr := startServer(t, tb, nil)
-	cl, err := Dial(addr, &ClientOptions{Timeout: 5 * time.Second})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer cl.Close()
-
-	tid := [TraceIDSize]byte{1}
-	allowed, err := cl.CheckTraced("s1", "read", "doc", tid)
-	if err != nil || !allowed {
-		t.Fatalf("CheckTraced on plain backend = (%v, %v), want (true, nil)", allowed, err)
-	}
-	verdicts, err := cl.CheckManyTraced([]CheckRequest{
-		{Session: "s1", Operation: "read", Object: "a"},
-	}, tid)
-	if err != nil || len(verdicts) != 1 || !verdicts[0] {
-		t.Fatalf("CheckManyTraced on plain backend = (%v, %v)", verdicts, err)
-	}
-}
-
 // A truncated trace-id prefix must condemn only the frame, not the
 // connection.
 func TestTracedBadPrefixKeepsConn(t *testing.T) {
-	tb := &tracedBackend{testBackend: newTestBackend()}
-	_, addr := startTracedServer(t, tb, nil)
+	tb := newTestBackend()
+	_, addr := startServer(t, tb, nil)
 	cl, err := Dial(addr, &ClientOptions{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)

@@ -117,13 +117,15 @@ func TestHospitalWeek(t *testing.T) {
 	if err := sys.AddActiveRole("nick", nickSid, "Nurse"); err != nil {
 		t.Fatal(err)
 	}
-	if sys.CheckAccessForPurpose(nickSid, perm("read", "chart.dat"), "treatment") {
+	chart := activerbac.CheckRequest{Session: string(nickSid), Operation: "read", Object: "chart.dat", Purpose: "treatment"}
+	if sys.Check(chart).Allowed {
 		t.Fatal("chart read without patient consent")
 	}
 	if err := sys.GrantConsent("chart.dat", "treatment"); err != nil {
 		t.Fatal(err)
 	}
-	if !sys.CheckAccessForPurpose(nickSid, perm("read", "chart.dat"), "diagnosis") {
+	chart.Purpose = "diagnosis"
+	if !sys.Check(chart).Allowed {
 		t.Fatal("chart read denied despite consent (diagnosis < treatment)")
 	}
 
